@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import elliptic as el
 from . import theta_eta as th
-from .numerics import NumericsError, check_tau
+from .numerics import NumericsError, check_tau, max_residual
 
 SQRT2 = math.sqrt(2.0)
 _PUNCTURE_BOUND = 1e4
@@ -308,7 +308,7 @@ def curve_residual(cid: str, taus) -> dict:
     skipped = 0
     for tau in taus:
         try:
-            worst = max(worst, spec.residual(tau))
+            worst = max_residual((worst, spec.residual(tau)))
         except NumericsError:
             skipped += 1
     return {"id": cid, "max_residual": worst, "skipped": skipped}

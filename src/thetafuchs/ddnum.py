@@ -1,9 +1,10 @@
-"""Minimal double-double arithmetic for ill-conditioned residual assembly.
+"""Double-double arithmetic for ill-conditioned residual assembly.
 
 A double-double is an unevaluated sum hi + lo of two floats carrying about 32
-significant digits.  Only the field operations needed by the jet recursion
-are provided; values enter as ordinary doubles and leave through to_complex.
-Error-free transforms follow Dekker and Knuth (no fma required).
+significant digits.  CDD is the complex scalar built from two of them, with
+the field operations, integer powers and exp; values enter as ordinary
+doubles and leave through to_complex or abs.  Error-free transforms follow
+Dekker and Knuth (no fma required).
 """
 
 from __future__ import annotations
@@ -44,12 +45,8 @@ def dd_add(x, y):
     return _quick_two_sum(s1, s2)
 
 
-def dd_neg(x):
-    return (-x[0], -x[1])
-
-
 def dd_sub(x, y):
-    return dd_add(x, dd_neg(y))
+    return dd_add(x, (-y[0], -y[1]))
 
 
 def dd_mul(x, y):
@@ -75,197 +72,158 @@ DD_ONE = (1.0, 0.0)
 
 
 class CDD:
-    """Complex number with double-double components."""
+    """Complex number with double-double components re = (rh, rl), im = (ih, il).
 
-    __slots__ = ("re", "im")
+    int, float and complex operands enter exactly as doubles, and operands of
+    any other type are left to their own reflected methods, so code written
+    for complex scalars (jets, q-series, uniformizers, Q) runs on CDD as is.
+    The parts are four float slots rather than two pairs, which halves the
+    size of the cached double-double jets.
+    """
+
+    __slots__ = ("rh", "rl", "ih", "il")
 
     def __init__(self, re=DD_ZERO, im=DD_ZERO):
-        self.re = re
-        self.im = im
+        self.rh, self.rl = re
+        self.ih, self.il = im
+
+    @property
+    def re(self):
+        return (self.rh, self.rl)
+
+    @property
+    def im(self):
+        return (self.ih, self.il)
 
     @staticmethod
-    def from_complex(z: complex) -> "CDD":
+    def from_complex(z) -> "CDD":
+        z = complex(z)
         return CDD((z.real, 0.0), (z.imag, 0.0))
 
     def to_complex(self) -> complex:
-        return complex(self.re[0] + self.re[1], self.im[0] + self.im[1])
+        return complex(self.rh + self.rl, self.ih + self.il)
 
-    def __add__(self, other: "CDD") -> "CDD":
-        return CDD(dd_add(self.re, other.re), dd_add(self.im, other.im))
-
-    def __sub__(self, other: "CDD") -> "CDD":
-        return CDD(dd_sub(self.re, other.re), dd_sub(self.im, other.im))
-
-    def __neg__(self) -> "CDD":
-        return CDD(dd_neg(self.re), dd_neg(self.im))
-
-    def __mul__(self, other: "CDD") -> "CDD":
-        return CDD(dd_sub(dd_mul(self.re, other.re), dd_mul(self.im, other.im)),
-                   dd_add(dd_mul(self.re, other.im), dd_mul(self.im, other.re)))
-
-    def __truediv__(self, other: "CDD") -> "CDD":
-        den = dd_add(dd_mul(other.re, other.re), dd_mul(other.im, other.im))
-        num_re = dd_add(dd_mul(self.re, other.re), dd_mul(self.im, other.im))
-        num_im = dd_sub(dd_mul(self.im, other.re), dd_mul(self.re, other.im))
-        return CDD(dd_div(num_re, den), dd_div(num_im, den))
-
-    def powi(self, n: int) -> "CDD":
-        out = CDD.from_complex(1.0)
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def scale(self, c: float) -> "CDD":
-        cc = CDD.from_complex(complex(c, 0.0))
-        return self * cc
-
-    def abs_approx(self) -> float:
+    def __abs__(self) -> float:
         return abs(self.to_complex())
 
+    def __bool__(self) -> bool:
+        return self.rh != 0.0 or self.ih != 0.0
 
-def cdd(z) -> CDD:
-    if isinstance(z, CDD):
-        return z
-    return CDD.from_complex(complex(z))
+    # Equal only to another CDD, so a CDD key never meets a complex key in
+    # the jet caches.
+    def __eq__(self, other):
+        if not isinstance(other, CDD):
+            return NotImplemented
+        return (self.rh, self.rl, self.ih, self.il) == (
+            other.rh, other.rl, other.ih, other.il)
+
+    def __hash__(self):
+        return hash((self.rh, self.rl, self.ih, self.il))
+
+    def __add__(self, other):
+        o = as_cdd(other)
+        if o is None:
+            return NotImplemented
+        return CDD(dd_add(self.re, o.re), dd_add(self.im, o.im))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = as_cdd(other)
+        if o is None:
+            return NotImplemented
+        return CDD(dd_sub(self.re, o.re), dd_sub(self.im, o.im))
+
+    def __rsub__(self, other):
+        o = as_cdd(other)
+        return NotImplemented if o is None else o - self
+
+    def __neg__(self) -> "CDD":
+        return CDD((-self.rh, -self.rl), (-self.ih, -self.il))
+
+    def __mul__(self, other):
+        if isinstance(other, complex) and other.imag == 0.0:
+            other = other.real
+        if isinstance(other, (int, float)):
+            c = (float(other), 0.0)
+            return CDD(dd_mul(self.re, c), dd_mul(self.im, c))
+        o = as_cdd(other)
+        if o is None:
+            return NotImplemented
+        a, b, c, d = self.re, self.im, o.re, o.im
+        return CDD(dd_sub(dd_mul(a, c), dd_mul(b, d)),
+                   dd_add(dd_mul(a, d), dd_mul(b, c)))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, float)):
+            c = (float(other), 0.0)
+            return CDD(dd_div(self.re, c), dd_div(self.im, c))
+        o = as_cdd(other)
+        if o is None:
+            return NotImplemented
+        a, b, c, d = self.re, self.im, o.re, o.im
+        den = dd_add(dd_mul(c, c), dd_mul(d, d))
+        return CDD(dd_div(dd_add(dd_mul(a, c), dd_mul(b, d)), den),
+                   dd_div(dd_sub(dd_mul(b, c), dd_mul(a, d)), den))
+
+    def __rtruediv__(self, other):
+        o = as_cdd(other)
+        return NotImplemented if o is None else o / self
+
+    def __pow__(self, n: int) -> "CDD":
+        """Integer powers by repeated squaring."""
+        if n < 0:
+            return 1.0 / self ** -n
+        out = CDD(DD_ONE)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+
+def as_cdd(v):
+    """v as a CDD when it is a CDD or a number, else None."""
+    if isinstance(v, CDD):
+        return v
+    if isinstance(v, (int, float, complex)):
+        return CDD.from_complex(v)
+    return None
 
 
 # ---------------------------------------------------------------------------
-# Transcendentals.  Hard-coded double-double constants; exp and sin/cos by
-# argument reduction plus Taylor sums carried in double-double.
+# Constants and the exponential, carried in double-double.
 
 DD_PI = (3.141592653589793, 1.2246467991473532e-16)
-DD_2PI = (6.283185307179586, 2.4492935982947064e-16)
 DD_HALF_PI = (1.5707963267948966, 6.123233995736766e-17)
 DD_LN2 = (0.6931471805599453, 2.3190468138462996e-17)
 DD_PI_SQ_12 = (0.8224670334241132, 1.520336175199238e-17)  # pi^2/12
-DD_PI4_144 = (0.6764520210694613, 2.967820026784603e-17)   # pi^4/144
-DD_INV_PI = (0.3183098861837907, -1.9678676675182486e-17)   # 1/pi
-DD_PI_12 = (0.26179938779914946, -2.6802044161277275e-17)   # pi/12
 
-
-def dd_scale_pow2(x, k: int):
-    m = 2.0 ** k
-    return (x[0] * m, x[1] * m)
-
-
-def dd_exp(x):
-    """exp of a double-double real, |x| < 700."""
-    k = int(round((x[0] + x[1]) / 0.6931471805599453))
-    r = dd_sub(x, dd_mul((float(k), 0.0), DD_LN2))
-    total = DD_ONE
-    term = DD_ONE
-    for n in range(1, 26):
-        term = dd_mul(term, r)
-        term = dd_div(term, (float(n), 0.0))
-        total = dd_add(total, term)
-        if abs(term[0]) < 1e-35 * max(1.0, abs(total[0])):
-            break
-    return dd_scale_pow2(total, k)
-
-
-def _dd_sin_taylor(r):
-    total = r
-    term = r
-    r2 = dd_mul(r, r)
-    for n in range(1, 14):
-        term = dd_mul(term, r2)
-        term = dd_div(term, (float(-(2 * n) * (2 * n + 1)), 0.0))
-        total = dd_add(total, term)
-    return total
-
-
-def _dd_cos_taylor(r):
-    total = DD_ONE
-    term = DD_ONE
-    r2 = dd_mul(r, r)
-    for n in range(1, 14):
-        term = dd_mul(term, r2)
-        term = dd_div(term, (float(-(2 * n - 1) * (2 * n)), 0.0))
-        total = dd_add(total, term)
-    return total
-
-
-def dd_sincos(x):
-    """(sin x, cos x) for a double-double real of moderate size."""
-    n = int(round((x[0] + x[1]) / 1.5707963267948966))
-    r = dd_sub(x, dd_mul((float(n), 0.0), DD_HALF_PI))
-    s, c = _dd_sin_taylor(r), _dd_cos_taylor(r)
-    quadrant = n % 4
-    if quadrant == 0:
-        return s, c
-    if quadrant == 1:
-        return c, dd_neg(s)
-    if quadrant == 2:
-        return dd_neg(s), dd_neg(c)
-    return dd_neg(c), s
+# Relative size of the last q-series term kept, as TOL.series_eps is for
+# doubles: a little below the double-double rounding unit 2^-106 ~ 1.2e-32.
+DD_SERIES_EPS = 1e-33
 
 
 def cdd_exp(z: CDD) -> CDD:
-    mag = dd_exp(z.re)
-    s, c = dd_sincos(z.im)
-    return CDD(dd_mul(mag, c), dd_mul(mag, s))
+    """exp z = 2^k i^n exp(r)^256 with r = (z - k ln2 - n i pi/2) / 256.
 
-
-# ---------------------------------------------------------------------------
-# Theta constants and the weight-2 Eisenstein tail in double-double.  The
-# argument arrives as (tau, k) meaning 2^k * tau, so scaled arguments stay
-# exact; tau itself is an exact double input.
-
-
-def cdd_tau(tau: complex, pow2: int = 0) -> CDD:
-    m = 2.0 ** pow2
-    return CDD((tau.real * m, 0.0), (tau.imag * m, 0.0))
-
-
-def _i_pi_sigma(sigma: CDD) -> CDD:
-    return CDD(dd_neg(dd_mul(DD_PI, sigma.im)), dd_mul(DD_PI, sigma.re))
-
-
-def dd_theta_quad(sigma: CDD):
-    """(theta2, theta3, theta4, eta_w) at sigma, all in double-double."""
-    ipis = _i_pi_sigma(sigma)
-    q = cdd_exp(ipis)
-    q2 = q * q
-    one = cdd(1.0)
-    t3 = one
-    t4 = one
-    qk = one        # q^{k^2}
-    qodd = q        # q^{2k+1}
-    for k in range(1, 40):
-        qk = qk * qodd
-        qodd = qodd * q2
-        term = qk + qk
-        t3 = t3 + term
-        t4 = (t4 + term) if k % 2 == 0 else (t4 - term)
-        if abs(qk.abs_approx()) < 1e-36:
-            break
-    qq = cdd_exp(CDD(dd_scale_pow2(ipis.re, -2), dd_scale_pow2(ipis.im, -2)))
-    t2 = cdd(0.0)
-    qk = one        # q^{k^2+k} built from q^{(k+1)^2-...}
-    step = q2       # q^{2k+2}
-    qk_cur = one
-    for k in range(0, 40):
-        t2 = t2 + qk_cur
-        qk_cur = qk_cur * step
-        step = step * q2
-        if qk_cur.abs_approx() < 1e-36:
-            t2 = t2 + qk_cur
-            break
-    t2 = (qq + qq) * t2
-    # E2 tail with qb = q^2
-    tail = cdd(0.0)
-    qbk = q2
-    for k in range(1, 300):
-        term = qbk.scale(float(k)) / (one - qbk)
-        tail = tail + term
-        qbk = qbk * q2
-        if term.abs_approx() < 1e-36:
-            break
-    e2 = one + tail.scale(-24.0)
-    etaw = CDD(dd_mul(DD_PI_SQ_12, e2.re), dd_mul(DD_PI_SQ_12, e2.im))
-    return t2, t3, t4, etaw
+    Both reductions are exact scalings, so |r| < 0.004 and twelve Taylor
+    terms reach the double-double unit; the eight squarings cost about two
+    of its 32 digits.
+    """
+    k = round(z.rh / DD_LN2[0])
+    n = round(z.ih / DD_HALF_PI[0])
+    shift = CDD(dd_mul((float(k), 0.0), DD_LN2),
+                dd_mul((float(n), 0.0), DD_HALF_PI))
+    r = (z - shift) * 2.0 ** -8
+    out = term = CDD(DD_ONE)
+    for m in range(1, 13):
+        term = term * r / m
+        out = out + term
+    for _ in range(8):
+        out = out * out
+    return out * ((1, 1j, -1, -1j)[n % 4] * 2.0 ** k)

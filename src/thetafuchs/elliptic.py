@@ -22,12 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import theta_eta as th
-from .numerics import TOL, NumericsError, check_tau, poly_roots
-
-# Lambert-sum cap: exponents grow linearly (unlike theta's k^2), so the
-# Eisenstein series need more terms near the real axis.
-_SUM_CAP = 400
-
+from .numerics import NumericsError, check_tau, poly_roots
 
 def agm(a: complex, b: complex) -> complex:
     """Arithmetic-geometric mean with the standard branch choice.
@@ -94,24 +89,12 @@ def legendre_moduli(tau: complex):
     return th.theta2(tau) ** 2 / t3sq, th.theta4(tau) ** 2 / t3sq
 
 
-def _lambert(power: int, tau: complex) -> complex:
-    qb = cmath.exp(2j * math.pi * tau)
-    total = 0.0 + 0.0j
-    for k in range(1, _SUM_CAP + 1):
-        qk = qb ** k
-        t = k ** power * qk / (1.0 - qk)
-        total += t
-        if abs(t) < TOL.series_eps * max(abs(total), 1e-300):
-            return total
-    raise th.SeriesTruncationError("Eisenstein series hit the term cap")
-
-
 def eisenstein_e4(tau: complex) -> complex:
-    return 1.0 + 240.0 * _lambert(3, check_tau(tau))
+    return 1.0 + 240.0 * th.lambert_series(3, tau)
 
 
 def eisenstein_e6(tau: complex) -> complex:
-    return 1.0 - 504.0 * _lambert(5, check_tau(tau))
+    return 1.0 - 504.0 * th.lambert_series(5, tau)
 
 
 def eisenstein(tau: complex):

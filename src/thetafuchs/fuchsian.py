@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 from . import elliptic as el
 from . import theta_eta as th
+from .ddnum import CDD
 from .jets import Jet, theta_jet
-from .numerics import NumericsError, check_tau
+from .numerics import NumericsError, check_tau, max_residual
 
 _CRITICAL_XTAU = 1e-6
 
@@ -37,7 +38,7 @@ class SchwarzianSample:
 def brackets_from_jet(j: Jet):
     """({x,tau}, [x,tau]) from an order-3 jet."""
     x1, x2, x3 = j.d[1], j.d[2], j.d[3]
-    if x1 == 0:
+    if not x1:
         raise NumericsError("critical point: x_tau = 0, Schwarzian is singular")
     sch = x3 / x1 - 1.5 * (x2 / x1) ** 2
     return sch, sch / (x1 * x1)
@@ -104,7 +105,7 @@ def j_invariant(tau, order=3) -> Jet:
     x4 = x.pow(4)
     num = (x4.pow(2) + 14.0 * x4 + 1.0).pow(3)
     den = (x.pow(5) - x).pow(4)
-    return num / den * (1.0 / 108.0)
+    return num / (108.0 * den)  # exact in double-double, unlike 1/108
 
 
 def psi1_tau(tau, order=3) -> Jet:
@@ -289,168 +290,16 @@ def _residual_legendre(tau: complex, j: Jet) -> float:
 # only that family.  Rounding in the assembly is therefore the entire error,
 # and redoing the arithmetic in ~32-digit precision removes it.
 
-from math import comb as _comb
-
-from .ddnum import (CDD, DD_INV_PI, DD_PI4_144, DD_PI_12, cdd,
-                    cdd_tau, dd_theta_quad)
-
-
-def _ddjet_mul(a, b):
-    n = min(len(a), len(b)) - 1
-    out = []
-    for k in range(n + 1):
-        acc = CDD()
-        for j in range(k + 1):
-            term = a[j] * b[k - j]
-            acc = acc + term.scale(float(_comb(k, j)))
-        out.append(acc)
-    return out
-
-
-def _ddjet_div(a, b):
-    n = min(len(a), len(b)) - 1
-    h = [a[0] / b[0]]
-    for k in range(1, n + 1):
-        acc = a[k]
-        for j in range(k):
-            acc = acc - (h[j] * b[k - j]).scale(float(_comb(k, j)))
-        h.append(acc / b[0])
-    return h
-
-
-def _ddjet_pow(a, n):
-    out = [cdd(1.0)] + [CDD() for _ in a[1:]]
-    base = a
-    k = n
-    while k:
-        if k & 1:
-            out = _ddjet_mul(out, base)
-        base = _ddjet_mul(base, base)
-        k >>= 1
-    return out
-
-
-def _ddjet_scale(a, c):
-    cc = cdd(c)
-    return [v * cc for v in a]
-
-
-def _ddjet_add(a, b):
-    return [x + y for x, y in zip(a, b)]
-
-
-def _ddjet_sub(a, b):
-    return [x - y for x, y in zip(a, b)]
-
-
-def _dd_quad(tau: complex, pow2: int, order: int):
-    """CDD jets of the quadruple at 2^pow2 tau via the closed recursion.
-
-    The scaled argument is exact (powers of two), and the starting values are
-    summed in double-double, so the only inaccuracy left is the ~1e-32
-    arithmetic floor.  Derivatives are with respect to the scaled argument;
-    callers chain-rule with _dd_rescale.
-    """
-    t2v, t3v, t4v, wv = dd_theta_quad(cdd_tau(tau, pow2))
-    vals = [[t2v], [t3v], [t4v], [wv]]
-    c_ip = CDD(im=DD_INV_PI)   # i/pi
-    c_pf = CDD(im=DD_PI_12)    # i pi/12
-    c_p4 = CDD(re=DD_PI4_144)  # pi^4/144
-    for m in range(order):
-        t2, t3, t4, w = vals
-        q2 = _ddjet_pow(t2, 4)
-        q3 = _ddjet_pow(t3, 4)
-        q4 = _ddjet_pow(t4, 4)
-
-        def cmulj(jet, const):
-            return [v * const for v in jet]
-
-        b2 = _ddjet_add(cmulj(w, c_ip), cmulj(_ddjet_add(q3, q4), c_pf))
-        b3 = _ddjet_add(cmulj(w, c_ip), cmulj(_ddjet_sub(q2, q4), c_pf))
-        b4 = _ddjet_sub(cmulj(w, c_ip), cmulj(_ddjet_add(q2, q3), c_pf))
-        r2 = _ddjet_mul(t2, b2)
-        r3 = _ddjet_mul(t3, b3)
-        r4 = _ddjet_mul(t4, b4)
-        sum8 = _ddjet_add(_ddjet_add(_ddjet_mul(q2, q2), _ddjet_mul(q3, q3)),
-                          _ddjet_mul(q4, q4))
-        rw = cmulj(_ddjet_sub(_ddjet_scale(_ddjet_mul(w, w), 2.0),
-                              cmulj(sum8, c_p4)), c_ip)
-        for v, r in zip(vals, (r2, r3, r4, rw)):
-            v.append(r[m])
-    return vals
-
-
-def _dd_rescale(jet, c: float):
-    return [v.scale(c ** k) for k, v in enumerate(jet)]
-
-
-def _dd_uniformizer(qid: str, tau: complex, order: int = 3):
-    if qid in ("burnside", "fermat4"):
-        t2, t3, t4, w = _dd_quad(tau, 0, order)
-        return _ddjet_div(t4, t3)
-    if qid == "burnside_chi":
-        t2, t3, t4, w = _dd_quad(tau, -1, order)
-        half = _ddjet_div(t4, t3)
-        return [(-v).scale(0.5 ** k) for k, v in enumerate(half)]
-    if qid == "legendre":
-        t2, t3, t4, w = _dd_quad(tau, 0, order)
-        return _ddjet_pow(_ddjet_div(t4, t3), 4)
-    if qid == "heun":
-        t2, t3, t4, w = _dd_quad(tau, 0, order)
-        return _ddjet_pow(_ddjet_div(t2, t3), 2)
-    if qid in ("fermat8", "z9_parabolic"):
-        t4d = _dd_rescale(_dd_quad(tau, 1, order)[2], 2.0)
-        t3 = _dd_quad(tau, 0, order)[1]
-        return _ddjet_div(t4d, t3)
-    if qid == "lambda_mixed":
-        t3d = _dd_rescale(_dd_quad(tau, 1, order)[1], 2.0)
-        base = _dd_quad(tau, 0, order)
-        t3q = _dd_rescale(_dd_quad(tau, 2, order)[1], 4.0)
-        return _ddjet_div(_ddjet_mul(t3d, t3d), _ddjet_mul(base[2], t3q))
-    raise KeyError(f"no double-double path for {qid}")
-
-
-def _dd_q_value(qid: str, x: CDD) -> CDD:
-    one = cdd(1.0)
-    half = cdd(-0.5)
-    if qid in ("burnside", "burnside_chi", "fermat4"):
-        num = x.powi(8) + x.powi(4).scale(14.0) + one
-        den = (x.powi(5) - x).powi(2)
-        return half * num / den
-    if qid == "legendre":
-        num = x * x - x + one
-        den = (x * (x - one)).powi(2)
-        return half * num / den
-    if qid == "heun":
-        num = (x * x + one).powi(2)
-        den = (x * (x * x - one)).powi(2)
-        return half * num / den
-    if qid in ("fermat8", "z9_parabolic"):
-        num = x.powi(16) + x.powi(8).scale(62.0) + one
-        den = (x * (x.powi(8) - one)).powi(2)
-        return half * num / den
-    if qid == "lambda_mixed":
-        num = (x.powi(6) + x.powi(5).scale(4.0) + x.powi(4).scale(16.0)
-               + x.powi(3).scale(-56.0) + x.powi(2).scale(68.0)
-               + x.scale(-48.0) + cdd(16.0))
-        quad = x * x + x.scale(4.0) - cdd(4.0)
-        den = (x * (x - one) * quad).powi(2)
-        return half * num / den
-    raise KeyError(qid)
-
-
-_DD_IDS = frozenset({"burnside", "burnside_chi", "fermat4", "legendre",
-                     "heun", "fermat8", "z9_parabolic", "lambda_mixed"})
-
 
 def residual_dd(qid: str, tau: complex) -> float:
-    """|[x,tau] - Q(x)| assembled entirely in double-double arithmetic."""
-    j = _dd_uniformizer(qid, tau, 3)
-    x1, x2, x3 = j[1], j[2], j[3]
-    sch = x3 / x1 - (x2 / x1).powi(2).scale(1.5)
-    qv = _dd_q_value(qid, j[0])
-    fused = sch - qv * x1 * x1
-    return fused.abs_approx() / x1.abs_approx() ** 2
+    """|[x,tau] - Q(x)| from the catalogue's own x and Q in double-double.
+
+    A CDD tau carries the whole evaluation (series, jets, uniformizer and Q)
+    into double-double arithmetic; the scaled arguments 2^k tau stay exact.
+    """
+    qf = q_catalogue(qid)
+    j = qf.uniformizer(CDD.from_complex(check_tau(tau)), 3)
+    return _fused_residual(j, qf.evaluator(j.d[0]))
 
 
 def q_catalogue(qid: str) -> QFunction:
@@ -526,9 +375,9 @@ def verify_fuchsian(qid: str, taus) -> dict:
         else:
             _, mero = brackets_from_jet(j)
             r = abs(mero - qf.evaluator(j.d[0]))
-        if r > 1e-10 and qid in _DD_IDS:
+        if r > 1e-10:
             r = residual_dd(qid, tau)
-        worst = max(worst, r)
+        worst = max_residual((worst, r))
     return {"id": qid, "max_residual": worst, "skipped": skipped,
             "samples": count}
 
@@ -550,6 +399,10 @@ def change_of_var_check(taus) -> dict:
     """
     out = {"z_x4_law": 0.0, "z_x4_is_legendre": 0.0, "mobius": 0.0,
            "pair_lemma": 0.0, "skipped": 0}
+
+    def worst(name, r):
+        out[name] = max_residual((out[name], r))
+
     for tau in taus:
         xj = x_burnside(tau, 3)
         if abs(xj.d[1]) < _CRITICAL_XTAU:
@@ -562,16 +415,14 @@ def change_of_var_check(taus) -> dict:
         mero_z = _mero_from(zj)
         z_x = 4.0 * x ** 3
         mero_zx = -15.0 / (32.0 * x ** 8)
-        out["z_x4_law"] = max(out["z_x4_law"],
-                              abs(mero_z - (mero_zx + mero_x / z_x ** 2)))
-        out["z_x4_is_legendre"] = max(out["z_x4_is_legendre"],
-                                      _residual_legendre(tau, zj))
+        worst("z_x4_law", abs(mero_z - (mero_zx + mero_x / z_x ** 2)))
+        worst("z_x4_is_legendre", _residual_legendre(tau, zj))
 
         # Mobius change w = (x+1)/(x-1): [w,x] = 0, w_x = -2/(x-1)^2
         wj = (xj + 1.0) / (xj - 1.0)
         mero_w = _mero_from(wj)
         w_x = -2.0 / (x - 1.0) ** 2
-        out["mobius"] = max(out["mobius"], abs(mero_w - mero_x / w_x ** 2))
+        worst("mobius", abs(mero_w - mero_x / w_x ** 2))
 
         # hyperelliptic partner y(tau), bracket via implicit derivatives
         yj = y_burnside(tau, 3)
@@ -586,8 +437,7 @@ def change_of_var_check(taus) -> dict:
               + 0.375 * p ** 3 / y ** 5)
         sch_yx = y3 / y1 - 1.5 * (y2 / y1) ** 2
         mero_yx = sch_yx / y1 ** 2
-        out["pair_lemma"] = max(out["pair_lemma"],
-                                abs(mero_y - (mero_yx + mero_x / y1 ** 2)))
+        worst("pair_lemma", abs(mero_y - (mero_yx + mero_x / y1 ** 2)))
     return out
 
 

@@ -12,48 +12,57 @@ come from their closed first-order system
 
 together with pi * eta' = i * eta * eta_w for Dedekind's eta, so any finite
 expression in these constants at affine arguments c*tau + d differentiates
-exactly to the requested order.
+exactly to the requested order.  The system is propagated in the tails
+theta3 - 1, theta4 - 1 and E2 - 1 (see _rhs), and the jets are generic over
+the scalar type: a complex argument gives double jets, a ddnum.CDD argument
+double-double ones.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 from . import theta_eta as th
+from .ddnum import CDD, as_cdd
 from .numerics import NumericsError, check_tau
 
 
 class Jet:
-    """Derivatives (d[0]=value, d[k]=k-th derivative) at a fixed point."""
+    """Derivatives (d[0]=value, d[k]=k-th derivative) at a fixed point.
+
+    The scalars are complex, or ddnum.CDD for double-double: a jet whose value
+    is a CDD holds CDD throughout, any other jet holds complex.  exp works on
+    both; log and non-integer powers are complex only.
+    """
 
     __slots__ = ("d",)
 
     def __init__(self, derivs):
-        self.d = tuple(complex(v) for v in derivs)
+        d = tuple(derivs)
+        self.d = tuple(map(as_cdd if isinstance(d[0], CDD) else complex, d))
 
     @property
     def order(self) -> int:
         return len(self.d) - 1
 
     @property
-    def value(self) -> complex:
+    def value(self):
         return self.d[0]
 
-    def __getitem__(self, k: int) -> complex:
+    def __getitem__(self, k: int):
         return self.d[k]
 
     @staticmethod
-    def const(c: complex, order: int) -> "Jet":
+    def const(c, order: int) -> "Jet":
         return Jet([c] + [0.0] * order)
 
     @staticmethod
-    def variable(x: complex, order: int) -> "Jet":
-        d = [complex(x)] + [0.0] * order
+    def variable(x, order: int) -> "Jet":
+        d = [x] + [0.0] * order
         if order >= 1:
             d[1] = 1.0
         return Jet(d)
@@ -79,7 +88,9 @@ class Jet:
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other, self.order)
+        if not isinstance(other, Jet):
+            return Jet([other * a for a in self.d])
+        o = other
         n = min(self.order, o.order)
         return Jet([sum(comb(k, j) * self.d[j] * o.d[k - j] for j in range(k + 1))
                     for k in range(n + 1)])
@@ -89,7 +100,7 @@ class Jet:
     def __truediv__(self, other):
         o = self._coerce(other, self.order)
         n = min(self.order, o.order)
-        if o.d[0] == 0:
+        if not o.d[0]:
             raise NumericsError("jet division by zero value")
         h = [self.d[0] / o.d[0]]
         for k in range(1, n + 1):
@@ -103,7 +114,7 @@ class Jet:
         return Jet.const(other, self.order) / self
 
     def exp(self) -> "Jet":
-        h = [cmath.exp(self.d[0])]
+        h = [th.arithmetic(self.d[0]).exp(self.d[0])]
         for k in range(1, self.order + 1):
             acc = 0.0
             for j in range(k):
@@ -113,7 +124,7 @@ class Jet:
 
     def log(self) -> "Jet":
         """Principal-branch logarithm jet."""
-        if self.d[0] == 0:
+        if not self.d[0]:
             raise NumericsError("jet log of zero value")
         g = self.deriv_jet() / self
         h = [cmath.log(self.d[0])]
@@ -139,7 +150,7 @@ class Jet:
             return out
         if isinstance(a, Fraction):
             a = a.numerator / a.denominator
-        if self.d[0] == 0:
+        if not self.d[0]:
             raise NumericsError("jet power of zero value")
         # h = f^a from h' = a h f'/f
         g = self.deriv_jet() / self
@@ -168,99 +179,91 @@ class Jet:
 # Base jets of the constant quadruple via the closed system
 
 
-def _rhs(t2: Jet, t3: Jet, t4: Jet, w: Jet):
-    ip = 1j / math.pi
-    pf = math.pi * 1j / 12.0
-    r2 = t2 * (ip * w + pf * (t3.pow(4) + t4.pow(4)))
-    r3 = t3 * (ip * w + pf * (t2.pow(4) - t4.pow(4)))
-    r4 = t4 * (ip * w - pf * (t2.pow(4) + t3.pow(4)))
-    rw = ip * (2.0 * w * w - (math.pi ** 4 / 144.0)
-               * (t2.pow(8) + t3.pow(8) + t4.pow(8)))
-    return r2, r3, r4, rw
+def _sq_tail(t):
+    """(1+t)^2 - 1 = t (2 + t), free of the 1 - 1 cancellation."""
+    return t * (2.0 + t)
 
 
-def _poly_tail(t: complex, n: int) -> complex:
-    """(1+t)^n - 1 expanded in t, avoiding the 1-1 cancellation."""
-    acc = 0.0 + 0.0j
-    for j in range(n, 0, -1):
-        acc = acc * t + comb(n, j)
-    return acc * t
+def _rhs(pi, t2: Jet, t3t: Jet, t4t: Jet, e2t: Jet):
+    """The closed system on theta2 and the tails theta3-1, theta4-1, E2-1.
 
+    With eta_w = (pi^2/12) E2, T = theta^4 - 1 and U = theta^8 - 1 it reads
 
-def _first_derivatives(sigma: complex, t2v, t3v, t4v, wv):
-    """Cancellation-free first derivatives of the quadruple.
+        theta2' = (pi i/12) theta2 (3 + (E2-1) + T3 + T4)
+        theta3' = (pi i/12) theta3 ((E2-1) + theta2^4 - T4)
+        theta4' = (pi i/12) theta4 ((E2-1) - theta2^4 - T3)
+        E2'     = (pi i/12) (2 ((1+(E2-1))^2 - 1) - theta2^8 - U3 - U4)
 
-    Near the cusp the log-derivatives theta3'/theta3, theta4'/theta4 and
-    eta_w' are exponentially small differences of order-one quantities; they
-    are assembled here from the tail series E2-1, theta3-1, theta4-1 so the
-    cancellations happen exactly.
+    Near the cusp the log-derivatives of theta3, theta4 and E2 are
+    exponentially small differences of order-one quantities; in tails they
+    cancel exactly.
     """
-    e2t = th.e2_tail(sigma)
-    t3t = th.theta3_tail(sigma)
-    t4t = th.theta4_tail(sigma)
-    t2q = t2v ** 4
-    t3q_t = _poly_tail(t3t, 4)   # theta3^4 - 1
-    t4q_t = _poly_tail(t4t, 4)   # theta4^4 - 1
-    pf = math.pi * 1j / 12.0
-    a2 = pf * (3.0 + e2t + t3q_t + t4q_t)
-    a3 = pf * (e2t + t2q - t4q_t)
-    a4 = pf * (e2t - t2q - t3q_t)
-    # 2 E2^2 - theta2^8 - theta3^8 - theta4^8, all as tails
-    combo = (2.0 * (2.0 * e2t + e2t * e2t) - t2v ** 8
-             - _poly_tail(t3t, 8) - _poly_tail(t4t, 8))
-    w1 = (1j / math.pi) * (math.pi ** 4 / 144.0) * combo
-    return a2 * t2v, a3 * t3v, a4 * t4v, w1
+    pf = pi * 1j / 12.0
+    t2sq = t2 * t2
+    q2 = t2sq * t2sq
+    q3, q4 = _sq_tail(_sq_tail(t3t)), _sq_tail(_sq_tail(t4t))
+    r2 = t2 * (pf * (3.0 + e2t + q3 + q4))
+    r3 = (1.0 + t3t) * (pf * (e2t + q2 - q4))
+    r4 = (1.0 + t4t) * (pf * (e2t - q2 - q3))
+    re2 = pf * (2.0 * _sq_tail(e2t) - q2 * q2 - _sq_tail(q3) - _sq_tail(q4))
+    return r2, r3, r4, re2
 
 
 @lru_cache(maxsize=4096)
-def _quad_jets(sigma: complex, order: int):
-    """Jets of (theta2, theta3, theta4, eta_w) at sigma to the given order."""
+def _quad_jets(sigma, order: int):
+    """Jets of (theta2, theta3, theta4, eta_w) at sigma to the given order.
+
+    sigma is complex or a CDD, and the jets are in the same arithmetic.
+    """
     sigma = check_tau(sigma)
-    vals = [[th.theta2(sigma)], [th.theta3(sigma)], [th.theta4(sigma)],
-            [th.eta_w(sigma)]]
-    if order >= 1:
-        d1 = _first_derivatives(sigma, vals[0][0], vals[1][0], vals[2][0],
-                                vals[3][0])
-        for v, g in zip(vals, d1):
-            v.append(g)
-    for m in range(1, order):
-        jets = [Jet(v) for v in vals]
-        rhs = _rhs(*jets)
+    ar = th.arithmetic(sigma)
+    vals = [[v] for v in th.theta_series(sigma)] + [[th.e2_tail(sigma)]]
+    for m in range(order):
+        rhs = _rhs(ar.pi, *(Jet(v) for v in vals))
         for v, r in zip(vals, rhs):
             v.append(r.d[m])
-    return tuple(Jet(v) for v in vals)
+    t2, t3t, t4t, e2t = (Jet(v) for v in vals)
+    return t2, 1.0 + t3t, 1.0 + t4t, ar.eta_w_scale() * (1.0 + e2t)
 
 
 @lru_cache(maxsize=4096)
-def _eta_jet(sigma: complex, order: int) -> Jet:
+def _eta_jet(sigma, order: int) -> Jet:
     """Jet of Dedekind eta from pi*eta' = i*eta*eta_w."""
-    w = _quad_jets(sigma, max(order - 1, 0))[3]
+    w = _quad_jets(sigma, order)[3]
+    ip = 1j / th.arithmetic(sigma).pi
     vals = [th.eta(sigma)]
     for m in range(order):
         ej = Jet(vals)
-        r = (1j / math.pi) * (ej * w.truncate(m))
+        r = ip * (ej * w.truncate(m))
         vals.append(r.d[m])
     return Jet(vals)
 
 
-def _rescale(jet: Jet, c) -> Jet:
+def _rescale(jet: Jet, c: float) -> Jet:
     """Chain rule for sigma = c*tau + d: d^k/dtau^k = c^k d^k/dsigma^k."""
-    c = complex(c)
     return Jet([jet.d[k] * c ** k for k in range(jet.order + 1)])
 
 
 @dataclass(frozen=True)
 class ThetaJet:
-    """Jets (in tau) of the constants evaluated at the argument c*tau + d."""
+    """Jets (in tau) of the constants evaluated at the argument c*tau + d.
 
-    tau: complex
+    The eta jet is built on first use: the uniformizers of the Fuchsian
+    catalogue need only the theta quadruple.
+    """
+
+    tau: object
     scale: tuple
     order: int
     t2: Jet
     t3: Jet
     t4: Jet
     etaw: Jet
-    eta: Jet
+    sigma: object = field(repr=False, compare=False)
+
+    @property
+    def eta(self) -> Jet:
+        return _rescale(_eta_jet(self.sigma, self.order), self.scale[0])
 
     @property
     def frame(self) -> th.ThetaFrame:
@@ -268,11 +271,12 @@ class ThetaJet:
                              self.t4.value, self.eta.value, self.etaw.value)
 
 
-def theta_jet(tau: complex, scale=(1, 0), order: int = 1) -> ThetaJet:
+def theta_jet(tau, scale=(1, 0), order: int = 1) -> ThetaJet:
     """Jets of theta2..4, eta, eta_w at c*tau+d, derivatives taken in tau.
 
-    scale is the pair (c, d); ints, Fractions and floats are accepted.
-    order up to 4 is supported (higher orders work but are untested).
+    tau is complex, or a ddnum.CDD for jets in double-double.  scale is the
+    pair (c, d) with c > 0; ints, Fractions and floats are accepted.  order
+    runs from 0 to 6, and the tests check every order up to 6.
     """
     tau = check_tau(tau)
     if order < 0 or order > 6:
@@ -280,16 +284,14 @@ def theta_jet(tau: complex, scale=(1, 0), order: int = 1) -> ThetaJet:
     c, d = scale
     cf = float(Fraction(c)) if not isinstance(c, (int, float)) else float(c)
     df = float(Fraction(d)) if not isinstance(d, (int, float)) else float(d)
+    if cf <= 0:
+        raise NumericsError(f"scale {cf} takes tau out of the half-plane")
     sigma = cf * tau + df
-    if sigma.imag <= 0:
-        raise NumericsError(f"scaled argument {sigma} left the half-plane")
     t2, t3, t4, w = _quad_jets(sigma, order)
-    e = _eta_jet(sigma, order)
-    return ThetaJet(tau, (cf, df), order,
-                    _rescale(t2, cf), _rescale(t3, cf), _rescale(t4, cf),
-                    _rescale(w, cf), _rescale(e, cf))
+    return ThetaJet(tau, (cf, df), order, _rescale(t2, cf), _rescale(t3, cf),
+                    _rescale(t4, cf), _rescale(w, cf), sigma)
 
 
-def tau_jet(tau: complex, order: int) -> Jet:
+def tau_jet(tau, order: int) -> Jet:
     """The identity function tau as a jet."""
     return Jet.variable(tau, order)

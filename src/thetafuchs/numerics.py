@@ -1,7 +1,8 @@
 """Shared numerical conventions: tolerances, finite differences, root finding.
 
-Everything here is plain double precision on Python complex scalars.  NaN or
-infinite intermediate values are treated as errors, never returned as results.
+Everything here is plain double precision on Python complex scalars, except
+that check_tau also admits a double-double ddnum.CDD point.  NaN or infinite
+intermediate values are treated as errors, never returned as results.
 """
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+from .ddnum import CDD
 
 
 @dataclass(frozen=True)
@@ -39,13 +42,26 @@ def check_finite(z: complex, what: str = "value") -> complex:
     return z
 
 
-def check_tau(tau: complex) -> complex:
-    """Validate a point of the upper half-plane (Im strictly positive)."""
-    tau = complex(tau)
-    check_finite(tau, "tau")
-    if tau.imag <= 0.0:
-        raise NumericsError(f"tau must have positive imaginary part, got {tau}")
-    return tau
+def check_tau(tau):
+    """Validate a point of the upper half-plane (Im strictly positive).
+
+    Numbers come back as complex; a CDD is checked on its leading part and
+    comes back unchanged, so the point keeps its arithmetic.
+    """
+    z = tau.to_complex() if isinstance(tau, CDD) else complex(tau)
+    check_finite(z, "tau")
+    if z.imag <= 0.0:
+        raise NumericsError(f"tau must have positive imaginary part, got {z}")
+    return tau if isinstance(tau, CDD) else z
+
+
+def max_residual(values) -> float:
+    """The largest of the residuals in values, NaN if any of them is NaN.
+
+    max() keeps a NaN only when it comes first: max(0.0, nan) is 0.0 because
+    every comparison with NaN is false.
+    """
+    return max(values, key=lambda v: (math.isnan(v), v))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,10 @@ eta_w is the Weierstrass zeta-value at 1 on the lattice with half-periods
 exp(2 pi*i*tau); the constant c is fixed once at import time by forcing the
 theta3 member of the closed derivative system at tau = 2i and is checked
 against the analytic value pi^2/12.
+
+Every series here is generic over the scalar type of tau: a complex tau is
+summed in doubles, a ddnum.CDD tau in double-double.  arithmetic(tau) picks
+the exp for the nome, pi, the stopping threshold and the constant c.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
+from .ddnum import CDD, DD_PI, DD_PI_SQ_12, DD_SERIES_EPS, cdd_exp
 from .numerics import TOL, NumericsError, check_tau
 
 _MAX_TERMS = 64
@@ -33,16 +39,30 @@ class SeriesTruncationError(NumericsError):
     """Raised when a q-series still moves at the term cap (Im tau too small)."""
 
 
-def _sum_capped(terms, what: str, cap: int = _MAX_TERMS) -> complex:
-    """Sum terms until |term| < series_eps * |partial sum|, cap the count.
+class Arithmetic(NamedTuple):
+    """What the scalar type of tau fixes for the series and jets."""
+
+    exp: Callable
+    pi: object
+    series_eps: float
+    eta_w_scale: Callable  # c in eta_w = c * E2
+
+
+def arithmetic(z) -> Arithmetic:
+    """Double-double for a ddnum.CDD, doubles for anything else."""
+    return _DOUBLE_DOUBLE if isinstance(z, CDD) else _DOUBLE
+
+
+def _sum_capped(terms, what: str, eps: float, cap: int = _MAX_TERMS):
+    """Sum terms until |term| < eps * |partial sum|, cap the count.
 
     The default cap suits the theta series, whose exponents grow
     quadratically; linear-exponent sums pass a larger cap explicitly.
     """
     total = 0.0 + 0.0j
     for k, t in enumerate(terms):
-        total += t
-        if abs(t) < TOL.series_eps * max(abs(total), 1e-300):
+        total = total + t
+        if abs(t) < eps * max(abs(total), 1e-300):
             return total
         if k + 1 >= cap:
             raise SeriesTruncationError(
@@ -50,112 +70,109 @@ def _sum_capped(terms, what: str, cap: int = _MAX_TERMS) -> complex:
     return total
 
 
-def theta2(tau: complex) -> complex:
+def theta_series(tau):
+    """(theta2, theta3 - 1, theta4 - 1) from one pass over the powers q^{k^2}.
+
+    q^{(k+1)^2} = q^{k^2} q^{2k+1} builds the powers by multiplication, and
+    theta2 = 2 q^{1/4} sum_{k>=0} q^{k^2+k} reuses them as q^{k^2} q^k.  The
+    pass stops once q^{k^2} is negligible against both tails, the smallest
+    of the three sums.
+    """
     tau = check_tau(tau)
-    q = cmath.exp(0.25j * math.pi * tau)
-
-    def terms():
-        k = 0
-        while True:
-            yield q ** ((2 * k + 1) ** 2)
-            k += 1
-
-    return 2.0 * _sum_capped(terms(), "theta2")
-
-
-def theta3(tau: complex) -> complex:
-    tau = check_tau(tau)
-    q = cmath.exp(1j * math.pi * tau)
-
-    def terms():
-        yield 1.0 + 0.0j
-        k = 1
-        while True:
-            yield 2.0 * q ** (k * k)
-            k += 1
-
-    return _sum_capped(terms(), "theta3")
+    exp, pi, eps, _ = arithmetic(tau)
+    q = exp(1j * pi * tau)
+    q2 = q * q
+    power, odd, qk = q, q2 * q, q     # q^{k^2}, q^{2k+1}, q^k at k = 1
+    s2 = 1.0 + 0.0j                   # sum_{k>=0} q^{k^2+k}
+    s3 = s4 = 0.0 + 0.0j              # sum_{k>=1} q^{k^2}, (-1)^k q^{k^2}
+    for k in range(1, _MAX_TERMS):
+        s2 = s2 + power * qk
+        s3 = s3 + power
+        s4 = s4 - power if k % 2 else s4 + power
+        if abs(power) < eps * max(min(abs(s3), abs(s4)), 1e-300):
+            return 2.0 * exp(0.25j * pi * tau) * s2, 2.0 * s3, 2.0 * s4
+        power = power * odd
+        odd = odd * q2
+        qk = qk * q
+    raise SeriesTruncationError(
+        f"theta: series needs more than {_MAX_TERMS} terms")
 
 
-def theta4(tau: complex) -> complex:
-    tau = check_tau(tau)
-    q = cmath.exp(1j * math.pi * tau)
-
-    def terms():
-        yield 1.0 + 0.0j
-        k = 1
-        while True:
-            yield 2.0 * (-1) ** k * q ** (k * k)
-            k += 1
-
-    return _sum_capped(terms(), "theta4")
+def theta2(tau):
+    return theta_series(tau)[0]
 
 
-def euler_product(x: complex) -> complex:
-    """prod_{k>=1} (1 - x^k) via the pentagonal-number series."""
-
-    def terms():
-        yield 1.0 + 0.0j
-        k = 1
-        while True:
-            sign = -1.0 if k % 2 else 1.0
-            yield sign * x ** (k * (3 * k - 1) // 2)
-            yield sign * x ** (k * (3 * k + 1) // 2)
-            k += 1
-
-    return _sum_capped(terms(), "eta product")
+def theta3(tau):
+    return 1.0 + theta_series(tau)[1]
 
 
-def eta(tau: complex) -> complex:
-    tau = check_tau(tau)
-    return cmath.exp(1j * math.pi * tau / 12.0) * euler_product(
-        cmath.exp(2j * math.pi * tau))
+def theta4(tau):
+    return 1.0 + theta_series(tau)[2]
 
 
-def theta3_tail(tau: complex) -> complex:
+def theta3_tail(tau):
     """theta3(tau) - 1, summed without the constant term."""
-    tau = check_tau(tau)
-    q = cmath.exp(1j * math.pi * tau)
-
-    def terms():
-        k = 1
-        while True:
-            yield 2.0 * q ** (k * k)
-            k += 1
-
-    return _sum_capped(terms(), "theta3 tail")
+    return theta_series(tau)[1]
 
 
-def theta4_tail(tau: complex) -> complex:
+def theta4_tail(tau):
     """theta4(tau) - 1."""
-    tau = check_tau(tau)
-    q = cmath.exp(1j * math.pi * tau)
+    return theta_series(tau)[2]
+
+
+def euler_product(x):
+    """prod_{k>=1} (1 - x^k) via the pentagonal-number series.
+
+    The exponents k(3k-1)/2 and k(3k+1)/2 are reached by multiplication:
+    x^{k(3k-1)/2} grows by x^{3k-2} from one k to the next.
+    """
 
     def terms():
+        yield 1.0 + 0.0j
+        pent, xk, step, x3 = 1.0 + 0.0j, 1.0 + 0.0j, x, x * x * x
         k = 1
         while True:
-            yield 2.0 * (-1) ** k * q ** (k * k)
+            pent = pent * step            # x^{k(3k-1)/2}
+            xk = xk * x
+            step = step * x3
+            term = -pent if k % 2 else pent
+            yield term
+            yield term * xk               # x^{k(3k+1)/2}
             k += 1
 
-    return _sum_capped(terms(), "theta4 tail")
+    return _sum_capped(terms(), "eta product", arithmetic(x).series_eps)
 
 
-def e2_tail(tau: complex) -> complex:
+def eta(tau):
+    tau = check_tau(tau)
+    exp, pi, _, _ = arithmetic(tau)
+    return exp(1j * pi * tau / 12.0) * euler_product(exp(2j * pi * tau))
+
+
+def lambert_series(power: int, tau):
+    """sum_{k>=1} k^power qb^k/(1-qb^k), qb = exp(2 pi*i*tau): the q-series
+    of E2 (power 1), E4 (3) and E6 (5)."""
+    tau = check_tau(tau)
+    exp, pi, eps, _ = arithmetic(tau)
+    qb = exp(2j * pi * tau)
+
+    def terms():
+        qk = qb
+        k = 1
+        while True:
+            yield k ** power * qk / (1.0 - qk)
+            qk = qk * qb
+            k += 1
+
+    return _sum_capped(terms(), f"Lambert series k^{power}", eps, cap=512)
+
+
+def e2_tail(tau):
     """E2(tau) - 1 = -24 sum k qb^k/(1-qb^k)."""
-    tau = check_tau(tau)
-    qb = cmath.exp(2j * math.pi * tau)
-
-    def terms():
-        k = 1
-        while True:
-            qk = qb ** k
-            yield -24.0 * k * qk / (1.0 - qk)
-            k += 1
-
-    return _sum_capped(terms(), "E2 tail", cap=512)
+    return -24.0 * lambert_series(1, tau)
 
 
-def eisenstein_e2(tau: complex) -> complex:
+def eisenstein_e2(tau):
     """E2(tau) = 1 - 24 sum k*qb^k/(1-qb^k), qb = exp(2 pi*i*tau)."""
     return 1.0 + e2_tail(tau)
 
@@ -170,7 +187,7 @@ def _theta3_deriv_series(tau: complex) -> complex:
             yield 2j * math.pi * k * k * q ** (k * k)
             k += 1
 
-    return _sum_capped(terms(), "theta3'")
+    return _sum_capped(terms(), "theta3'", TOL.series_eps)
 
 
 @lru_cache(maxsize=1)
@@ -191,9 +208,16 @@ def eta_w_scale() -> float:
     return c
 
 
-def eta_w(tau: complex) -> complex:
+def eta_w(tau):
     """Weierstrass eta-constant zeta(1) on the lattice with half-periods (1, tau)."""
-    return eta_w_scale() * eisenstein_e2(tau)
+    return arithmetic(tau).eta_w_scale() * eisenstein_e2(tau)
+
+
+# Doubles calibrate c against the series; double-double takes the analytic
+# pi^2/12 that the calibration is checked against.
+_DOUBLE = Arithmetic(cmath.exp, math.pi, TOL.series_eps, eta_w_scale)
+_DOUBLE_DOUBLE = Arithmetic(cdd_exp, CDD(DD_PI), DD_SERIES_EPS,
+                            lambda: CDD(DD_PI_SQ_12))
 
 
 @dataclass(frozen=True)
@@ -219,8 +243,8 @@ class ThetaFrame:
 def theta(tau: complex) -> ThetaFrame:
     """Evaluate the full constant frame at tau and self-check the identities."""
     tau = check_tau(tau)
-    frame = ThetaFrame(tau, theta2(tau), theta3(tau), theta4(tau),
-                       eta(tau), eta_w(tau))
+    t2, t3t, t4t = theta_series(tau)
+    frame = ThetaFrame(tau, t2, 1.0 + t3t, 1.0 + t4t, eta(tau), eta_w(tau))
     frame.check(tol=1e-9 if tau.imag < 0.1 else None)
     return frame
 

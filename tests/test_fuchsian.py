@@ -1,10 +1,12 @@
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
 from thetafuchs import fuchsian as fu
 from thetafuchs.jets import Jet, theta_jet
 from thetafuchs.numerics import newton_solve, tau_grid
+from thetafuchs.report import RunReport
 
 GRID = tau_grid(12, seed=11, im_range=(0.4, 2.5))
 
@@ -169,9 +171,35 @@ def test_log_solution_ode():
 
 
 def test_dd_refinement_agrees_with_double():
-    for tau in (0.3 + 1.1j, 0.1 + 0.7j):
-        for qid in ("burnside", "fermat8", "lambda_mixed"):
-            assert fu.residual_dd(qid, tau) < 1e-12
+    for tau in (0.3 + 1.1j, 0.1 + 0.7j, -0.4 + 2.5j):
+        for qid in fu.CATALOGUE_IDS:
+            assert fu.residual_dd(qid, tau) < 1e-12, (qid, tau)
+
+
+def test_bruns_refined_near_orbit_of_i():
+    # J' vanishes at i, where Q_bruns has its double pole: in doubles the
+    # residual loses most of its digits, the double-double route keeps them
+    tau = 1j + 0.002
+    j = fu.j_invariant(tau, 3)
+    _, mero = fu.brackets_from_jet(j)
+    assert abs(mero - fu.q_bruns(j.d[0])) > 1e-9
+    assert fu.verify_fuchsian("bruns", [tau])["max_residual"] < 1e-9
+
+
+def test_nan_residual_survives_the_maximum(monkeypatch):
+    qf = fu.q_catalogue("heun")
+    nan_at = 0.2 + 1.3j
+
+    def residual(tau, j):
+        return math.nan if tau == nan_at else 0.0
+
+    monkeypatch.setattr(fu, "q_catalogue",
+                        lambda qid: dataclasses.replace(qf, residual=residual))
+    res = fu.verify_fuchsian("heun", [0.1 + 0.9j, nan_at, 0.3 + 1.1j])
+    assert math.isnan(res["max_residual"])
+    row = RunReport("demo")
+    row.add("heun", res["max_residual"], 1e-9)
+    assert row.exit_status == 1
 
 
 def test_accessory_metadata():

@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 from thetafuchs import theta_eta as th
+from thetafuchs.ddnum import CDD
 from thetafuchs.jets import Jet, theta_jet
 from thetafuchs.numerics import fd_jet
 
@@ -81,3 +82,28 @@ def test_jet_variable_and_arithmetic():
     assert sq.d[3] == 0.0
     inv = 1.0 / v
     assert abs(inv.d[1] + 1.0 / (2 + 1j) ** 2) < 1e-15
+
+
+def test_order_six_against_termwise_series():
+    tau = 0.1 + 1.0j
+    j = theta_jet(tau, (1, 0), 6)
+    q = cmath.exp(1j * math.pi * tau)
+    for k in range(7):
+        ref = (k == 0) + 2 * sum((1j * math.pi * n * n) ** k * q ** (n * n)
+                                 for n in range(1, 30))
+        assert abs(j.t3.d[k] - ref) < 1e-12 * abs(ref)
+
+
+def test_double_double_jets_match_complex():
+    # The double jets are accurate relative to their largest entry: near the
+    # cusp a derivative such as theta3''(4 tau) is exponentially small.
+    for tau in (0.3 + 1.1j, 0.1 + 0.7j, -0.4 + 2.5j):
+        for c in (Fraction(1, 2), 1, 2, 4):
+            plain = theta_jet(tau, (c, 0), 3)
+            dd = theta_jet(CDD.from_complex(tau), (c, 0), 3)
+            for name in ("t2", "t3", "t4", "etaw", "eta"):
+                ref = getattr(plain, name).d
+                size = max(abs(v) for v in ref)
+                for a, b in zip(ref, getattr(dd, name).d):
+                    assert isinstance(b, CDD)
+                    assert abs(b.to_complex() - a) < 1e-13 * size, (tau, c, name)

@@ -123,3 +123,9 @@ def test_seeded_grid_is_reproducible():
     b = nm.tau_grid(5, seed=42)
     assert a == b
     assert all(t.imag >= 0.3 for t in a)
+
+
+def test_max_residual_keeps_nan():
+    assert max(0.0, math.nan) == 0.0
+    assert math.isnan(nm.max_residual([0.0, 1e-12, math.nan, 1e-14]))
+    assert nm.max_residual([3e-12, 1e-11, 2e-13]) == 1e-11

@@ -1,9 +1,14 @@
 import io
 import json
+import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import pytest
 
+import thetafuchs
 from thetafuchs import cli
 from thetafuchs.report import RunReport
 
@@ -136,3 +141,49 @@ def test_curve_registry_emission():
     assert burnside["coeffs"] == {"0,2": 1, "5,0": -1, "1,0": 1}
     kl3 = next(e for e in registry if e["id"] == "kl3")
     assert kl3["j_invariant"] == [2197, 972]
+
+
+@pytest.mark.parametrize("suite", ["fuchsian", "curves"])
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_samples_below_one_is_usage_error(suite, samples):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", suite, "--samples", samples])
+    assert exc.value.code == 2
+
+
+def test_nan_residual_fails_its_row(monkeypatch):
+    real = cli.th.identity_residuals
+    seen = []
+
+    def nan_on_second_sample(tau):
+        res = real(tau)
+        seen.append(tau)
+        if len(seen) == 2:
+            res["landen"] = math.nan
+        return res
+
+    monkeypatch.setattr(cli.th, "identity_residuals", nan_on_second_sample)
+    status, out = run_cli(["verify", "identities", "--samples", "4"])
+    assert status == 1
+    rows = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert math.isnan(rows["landen"]["residual"])
+    assert rows["landen"]["pass"] is False
+    assert all(c["pass"] for name, c in rows.items() if name != "landen")
+
+
+def test_runtime_imports_are_standard_library():
+    # A fresh interpreter without site hooks imports the package and every
+    # submodule; whatever else lands in sys.modules must be standard library.
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "import thetafuchs\n"
+        "for m in pkgutil.iter_modules(thetafuchs.__path__):\n"
+        "    importlib.import_module('thetafuchs.' + m.name)\n"
+        "top = {name.split('.')[0] for name in sys.modules}\n"
+        "print(' '.join(sorted(top - set(sys.stdlib_module_names)\n"
+        "                      - {'thetafuchs', '__main__'})))\n")
+    src = os.path.dirname(os.path.dirname(thetafuchs.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
