@@ -185,25 +185,6 @@ def q_parabolic(branch_points, accessory=None):
     return q
 
 
-def q_parabolic_even(branch_points, accessory=None):
-    """Same family for an even number 2g+2 of finite branch points."""
-    e = tuple(complex(v) for v in branch_points)
-    g = len(e) // 2 - 1
-    if len(e) != 2 * g + 2:
-        raise NumericsError("even family needs 2g+2 points")
-    esum = sum(e)
-
-    def q(x: complex) -> complex:
-        s = sum(1.0 / (x - ek) ** 2 for ek in e)
-        prod = 1.0
-        for ek in e:
-            prod *= (x - ek)
-        acc = accessory(x) if accessory else 0.0
-        top = 2.0 * (g + 1) * x ** (2 * g) + 2.0 * g * esum * x ** (2 * g - 1) + acc
-        return -0.5 * (s - top / prod)
-    return q
-
-
 def q_whittaker(branch_points, accessory=None):
     """Whittaker's -3/8 variant on the same pole set."""
     base = q_parabolic(branch_points, accessory)
@@ -302,49 +283,48 @@ def residual_dd(qid: str, tau: complex) -> float:
     return _fused_residual(j, qf.evaluator(j.d[0]))
 
 
+_CATALOGUE = {
+    "burnside": QFunction(
+        "burnside", q_burnside, (0, 1, -1, 1j, -1j), True, x_burnside,
+        lambda tau, j: _residual_burnside(tau, j, False),
+        "y^2 = x^5 - x, x = theta4/theta3"),
+    "burnside_chi": QFunction(
+        "burnside_chi", q_burnside, (0, 1, -1, 1j, -1j), True, chi_half,
+        lambda tau, j: _residual_burnside(tau, j, True),
+        "same equation in the conformal-map normalization"),
+    "legendre": QFunction(
+        "legendre", q_legendre, (0, 1), True, kprime2, _residual_legendre,
+        "hypergeometric form, z = k'^2"),
+    "bruns": QFunction(
+        "bruns", q_bruns, (0, 1), True, j_invariant, None,
+        "level-one equation in Klein's J"),
+    "fermat4": QFunction(
+        "fermat4", q_fermat(4), (0,) + tuple(1j ** k for k in range(4)),
+        True, x_burnside, lambda tau, j: _residual_burnside(tau, j, False),
+        "z^4 + w^4 = 1"),
+    "fermat8": QFunction(
+        "fermat8", q_fermat(8), (0,) + _EIGHTH_ROOTS, True, z_fermat8,
+        _residual_fermat8, "z^8 + w^8 = 1"),
+    "z9_parabolic": QFunction(
+        "z9_parabolic", q_parabolic((0,) + _EIGHTH_ROOTS), (0,) + _EIGHTH_ROOTS,
+        True, z_fermat8, _residual_fermat8,
+        "y^2 = z^9 - z in the explicit parabolic form"),
+    "heun": QFunction(
+        "heun", q_heun, (0, 1, -1), True, k_modulus, None,
+        "k^2 = 1 - z^n tower, Heun form in k"),
+    "lambda_mixed": QFunction(
+        "lambda_mixed", q_lambda_mixed,
+        (0, 1, -2 + 2 * math.sqrt(2), -2 - 2 * math.sqrt(2)), True,
+        lambda_mixed, _residual_lambda_mixed,
+        "three parabolic plus two ramified points"),
+}
+CATALOGUE_IDS = tuple(_CATALOGUE)
+
+
 def q_catalogue(qid: str) -> QFunction:
-    catalogue = {
-        "burnside": QFunction(
-            "burnside", q_burnside, (0, 1, -1, 1j, -1j), True, x_burnside,
-            lambda tau, j: _residual_burnside(tau, j, False),
-            "y^2 = x^5 - x, x = theta4/theta3"),
-        "burnside_chi": QFunction(
-            "burnside_chi", q_burnside, (0, 1, -1, 1j, -1j), True, chi_half,
-            lambda tau, j: _residual_burnside(tau, j, True),
-            "same equation in the conformal-map normalization"),
-        "legendre": QFunction(
-            "legendre", q_legendre, (0, 1), True, kprime2, _residual_legendre,
-            "hypergeometric form, z = k'^2"),
-        "bruns": QFunction(
-            "bruns", q_bruns, (0, 1), True, j_invariant, None,
-            "level-one equation in Klein's J"),
-        "fermat4": QFunction(
-            "fermat4", q_fermat(4), (0,) + tuple(1j ** k for k in range(4)),
-            True, x_burnside, lambda tau, j: _residual_burnside(tau, j, False),
-            "z^4 + w^4 = 1"),
-        "fermat8": QFunction(
-            "fermat8", q_fermat(8), (0,) + _EIGHTH_ROOTS, True, z_fermat8,
-            _residual_fermat8, "z^8 + w^8 = 1"),
-        "z9_parabolic": QFunction(
-            "z9_parabolic", q_parabolic((0,) + _EIGHTH_ROOTS), (0,) + _EIGHTH_ROOTS,
-            True, z_fermat8, _residual_fermat8,
-            "y^2 = z^9 - z in the explicit parabolic form"),
-        "heun": QFunction(
-            "heun", q_heun, (0, 1, -1), True, k_modulus, None,
-            "k^2 = 1 - z^n tower, Heun form in k"),
-        "lambda_mixed": QFunction(
-            "lambda_mixed", q_lambda_mixed,
-            (0, 1, -2 + 2 * math.sqrt(2), -2 - 2 * math.sqrt(2)), True,
-            lambda_mixed, _residual_lambda_mixed,
-            "three parabolic plus two ramified points"),
-    }
-    if qid not in catalogue:
+    if qid not in _CATALOGUE:
         raise KeyError(f"unknown Q id: {qid}")
-    return catalogue[qid]
-
-
-CATALOGUE_IDS = ("burnside", "burnside_chi", "legendre", "bruns", "fermat4",
-                 "fermat8", "z9_parabolic", "heun", "lambda_mixed")
+    return _CATALOGUE[qid]
 
 
 def verify_fuchsian(qid: str, taus) -> dict:

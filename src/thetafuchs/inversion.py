@@ -24,10 +24,8 @@ from . import theta_eta as th
 from .curves import chi_burnside, octahedral_j, x_quotient
 from .jets import theta_jet
 from .modgroup import ProjMatrix, coset_reps, gamma4_reduce, mobius
-from .numerics import (TOL, NumericsError, check_tau, fd_jet, newton_solve,
-                       poly_roots)
-
-BRANCH_TAU_CLASSES = ("oo", "i", "rho")  # cusp, order-2, order-3 vertices
+from .numerics import (TOL, NumericsError, check_tau, fd_jet, max_residual,
+                       newton_solve, poly_roots)
 
 
 @dataclass(frozen=True)
@@ -112,7 +110,7 @@ def exact_value_suite() -> dict:
         sigma, _ = gamma4_reduce(mobius(rep, 1j * SQRT2))
         av = chi_burnside(sigma)
         values.append(av)
-        worst = max(worst, abs(octahedral_j(av) - 125.0 / 27.0))
+        worst = max_residual((worst, abs(octahedral_j(av) - 125.0 / 27.0)))
     out["octahedral_orbit_j"] = worst
     separation = min(abs(v1 - v2) for i, v1 in enumerate(values)
                      for v2 in values[i + 1:])

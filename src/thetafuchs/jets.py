@@ -290,8 +290,3 @@ def theta_jet(tau, scale=(1, 0), order: int = 1) -> ThetaJet:
     t2, t3, t4, w = _quad_jets(sigma, order)
     return ThetaJet(tau, (cf, df), order, _rescale(t2, cf), _rescale(t3, cf),
                     _rescale(t4, cf), _rescale(w, cf), sigma)
-
-
-def tau_jet(tau, order: int) -> Jet:
-    """The identity function tau as a jet."""
-    return Jet.variable(tau, order)

@@ -280,11 +280,9 @@ def gamma4_reduce(tau: complex):
 # ---------------------------------------------------------------------------
 # Disc model
 
-DISC_CENTER = 1 + 1j  # tau mapped to 0
-
 
 def disc_map(tau):
-    """Half-plane to unit disc: tau -> i (tau-1-i)/(tau-1+i)."""
+    """Half-plane to unit disc: tau -> i (tau-1-i)/(tau-1+i), so 1+i -> 0."""
     if tau == INFINITY:
         return 1j
     tau = complex(tau)

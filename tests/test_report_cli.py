@@ -1,7 +1,9 @@
+import importlib
 import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -41,6 +43,115 @@ def test_forced_failure_with_zero_tolerance():
                            "--tol", "0"])
     assert status == 1
     assert json.loads(out)["pass"] is False
+
+
+def test_forced_failure_with_zero_tolerance_from_environment(monkeypatch):
+    monkeypatch.setenv("THETAFUCHS_TOL", "0")
+    status, out = run_cli(["verify", "identities", "--samples", "4"])
+    assert status == 1
+    assert json.loads(out)["parameters"]["tol"] == 0.0
+
+
+@pytest.mark.parametrize("route", ["flag", "env"])
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "-1e-9"])
+def test_malformed_override_is_usage_error(route, value, monkeypatch):
+    argv = ["verify", "identities", "--samples", "2"]
+    if route == "flag":
+        argv.append(f"--tol={value}")
+    else:
+        monkeypatch.setenv("THETAFUCHS_TOL", value)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("route", ["flag", "env"])
+def test_override_is_recorded(route, monkeypatch):
+    argv = ["verify", "identities", "--samples", "2"]
+    if route == "flag":
+        argv += ["--tol", "1e-3"]
+    else:
+        monkeypatch.setenv("THETAFUCHS_TOL", "1e-3")
+    status, out = run_cli(argv)
+    doc = json.loads(out)
+    assert status == 0
+    assert doc["parameters"] == {"samples": 2, "seed": 7, "tol": 1e-3}
+    assert all(c["tol"] == 1e-3 for c in doc["checks"])
+
+
+@pytest.mark.parametrize("env", [None, ""])
+def test_default_document_records_no_tolerance(env, monkeypatch):
+    if env is None:
+        monkeypatch.delenv("THETAFUCHS_TOL", raising=False)
+    else:
+        monkeypatch.setenv("THETAFUCHS_TOL", env)
+    _, out = run_cli(["verify", "identities", "--samples", "2"])
+    assert json.loads(out)["parameters"] == {"samples": 2, "seed": 7}
+
+
+@pytest.mark.parametrize("suite", ["curves", "metrics"])
+def test_fixed_rows_keep_their_tolerance_under_override(suite):
+    fixed = {"j_bridge_octahedral": 1e-9, "densities_positive": 0.5,
+             "torus_display_x2_recovery": 1e-8}
+    _, out = run_cli(["verify", suite, "--samples", "2", "--tol", "1"])
+    tols = {c["name"]: c["tol"] for c in json.loads(out)["checks"]}
+    assert tols.keys() & fixed.keys()
+    for name, tol in tols.items():
+        assert tol == fixed.get(name, 1.0), name
+
+
+@pytest.mark.parametrize("argv", [
+    ["invert", "--value", "0.3,0.15", "--tol", "1"],
+    ["invert", "--value", "0.3,0.15", "--samples", "0"],
+    ["quintic", "--a", "0.01,0", "--seed", "3"],
+    ["exact-values", "--tol", "1e-30"],
+    ["polygon", "--genus", "2", "--samples", "5"],
+    ["discriminant", "--poly", "poly.json", "--tol", "1"],
+    ["eval", "theta", "--tau", "0.3,1.1", "--seed", "1"],
+])
+def test_sweep_flags_belong_to_verify_only(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
+def test_every_command_takes_format():
+    status, out = run_cli(["eval", "k", "--tau", "0,1", "--format", "jsonl"])
+    assert status == 0
+    assert json.loads(out.splitlines()[-1]) == {"pass": True}
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_tolerance_table_agrees_with_the_benchmark(monkeypatch):
+    # The benchmark keeps its own copy of the tolerances, so a loosened CLI
+    # tolerance is caught there; the two copies must agree.
+    pytest.importorskip("mpmath")  # oracle.py needs the test extra
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    oracle = importlib.import_module("oracle")
+
+    _, out = run_cli(["verify", "fuchsian", "--samples", "1"])
+    rows = [c["name"] for c in json.loads(out)["checks"]]
+    assert rows == list(oracle.FUCHSIAN_ROWS)
+    assert {cli.tolerance("fuchsian", r) for r in rows} == {workloads.FUCHSIAN_TOL}
+
+    _, out = run_cli(["verify", "integrals", "--samples", "1"])
+    rows = {c["name"] for c in json.loads(out)["checks"]}
+    assert rows == set(workloads.INTEGRALS_TOLS)
+    assert ({r: cli.tolerance("integrals", r) for r in rows}
+            == workloads.INTEGRALS_TOLS)
+    assert cli.TOLERANCES["integrals"]["*"] == workloads.INTEGRALS_DEFAULT_TOL
+
+    invert_rows = {"chi_residual": "chi_residual", "j_residual": "j_octahedral"}
+    assert ({invert_rows[k]: v for k, v in oracle.INVERT_TOLS.items()}
+            == cli.TOLERANCES["invert"])
+    quintic_rows = {"poly_residuals": "max_poly_residual",
+                    "theta_residuals": "max_theta_residual",
+                    "vieta_residual": "vieta"}
+    assert ({quintic_rows[k]: v for k, v in oracle.QUINTIC_TOLS.items()}
+            == cli.TOLERANCES["quintic"])
 
 
 def test_unknown_command_status():
@@ -169,6 +280,24 @@ def test_nan_residual_fails_its_row(monkeypatch):
     assert math.isnan(rows["landen"]["residual"])
     assert rows["landen"]["pass"] is False
     assert all(c["pass"] for name, c in rows.items() if name != "landen")
+
+
+def test_nan_orbit_value_fails_octahedral_orbit_j(monkeypatch):
+    real = cli.iv.octahedral_j
+    calls = []
+
+    def nan_on_second_orbit_value(a):
+        calls.append(a)
+        return math.nan if len(calls) == 2 else real(a)
+
+    monkeypatch.setattr(cli.iv, "octahedral_j", nan_on_second_orbit_value)
+    status, out = run_cli(["exact-values"])
+    assert status == 1
+    rows = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert math.isnan(rows["octahedral_orbit_j"]["residual"])
+    assert rows["octahedral_orbit_j"]["pass"] is False
+    assert all(c["pass"] for name, c in rows.items()
+               if name != "octahedral_orbit_j")
 
 
 def test_runtime_imports_are_standard_library():
