@@ -47,6 +47,13 @@ def wp_rational(x: complex, sign: int) -> complex:
             - (3.0 + s * SQRT2) / 6.0)
 
 
+def wp_rational_slope(x: complex, sign: int) -> complex:
+    """d/dx of wp_rational: -(1 +- sqrt2)(1-i)(x^2+i)/((x-i)^2 (x+1)^2)."""
+    s = 1.0 if sign >= 0 else -1.0
+    return (-(1.0 + s * SQRT2) * (1.0 - 1j) * (x * x + 1j)
+            / ((x - 1j) ** 2 * (x + 1.0) ** 2))
+
+
 def wp_argument(tau: complex, sign: int) -> complex:
     """wp(alpha_pm) at tau, through x = theta4/theta3."""
     return wp_rational(x_quotient(check_tau(tau)), sign)
@@ -95,6 +102,21 @@ def _alpha_aligned(tau: complex, sign: int, base: complex) -> complex:
                 if best is None or abs(cand - base) < abs(best - base):
                     best = cand
     return best
+
+
+def alpha_slope(tau: complex, sign: int) -> complex:
+    """d alpha/d tau by the chain rule through wp(alpha) = wp_rational(x).
+
+    Differentiating both sides in tau gives wp'(alpha) alpha_tau =
+    wp_rational_slope(x) x_tau; wp' comes from wp at the alpha that
+    wp_inverse returns, x and x_tau from the Burnside jet.
+    """
+    par = cover_params(sign)
+    alpha = el.wp_inverse(wp_argument(tau, sign), par)
+    dv = el.wp(alpha, par)[1]
+    j = x_burnside(tau, 1)
+    x, x1 = j.d[0], j.d[1]
+    return wp_rational_slope(x, sign) * x1 / dv
 
 
 def alpha_slope_fd(tau: complex, sign: int, h: float = 1e-4) -> complex:
@@ -166,7 +188,7 @@ def holo_differential_check(tau: complex) -> dict:
 
     Output per sign: theta form vs x form (up to the square-root sign, which
     is recorded) and theta form vs sqrt(1+i) d alpha/d tau (up to the wp
-    branch sign, recorded).
+    branch sign, recorded), the slope taken by the chain rule (alpha_slope).
     """
     tau = check_tau(tau)
     out = {}
@@ -175,7 +197,7 @@ def holo_differential_check(tau: complex) -> dict:
         fx = holo_integrand_x(tau, sign)
         out[f"x_form_{key}"] = min(abs(ft - fx), abs(ft + fx))
         out[f"x_form_sign_{key}"] = 1.0 if abs(ft - fx) <= abs(ft + fx) else -1.0
-        da = SQRT_1PI * alpha_slope_fd(tau, sign)
+        da = SQRT_1PI * alpha_slope(tau, sign)
         out[f"alpha_form_{key}"] = min(abs(ft - da), abs(ft + da))
         out[f"alpha_form_sign_{key}"] = 1.0 if abs(ft - da) <= abs(ft + da) else -1.0
     return out
@@ -362,16 +384,13 @@ def torus_metric_check(tau: complex) -> dict:
     """
     tau = check_tau(tau)
     sign = +1
-    s = 1.0
     par = cover_params(sign)
     alpha = el.wp_inverse(wp_argument(tau, sign), par)
     pv, dv, _ = el.wp(alpha, par)
     x = x_quotient(tau)
 
     dx = burnside_x_density(x).density
-    rprime = (-(1.0 + s * SQRT2) * (1.0 - 1j) * (x * x + 1j)
-              / ((x - 1j) ** 2 * (x + 1.0) ** 2))
-    pullback = dx * abs(dv / rprime) ** 2
+    pullback = dx * abs(dv / wp_rational_slope(x, sign)) ** 2
 
     best_rel = None
     best_x2 = None

@@ -175,11 +175,14 @@ def cmd_verify(args) -> RunReport:
     for name in sorted(samples) if suite.sort_rows else samples:
         checked = [v for v in samples[name] if v is not None]
         skipped = len(samples[name]) - len(checked)
-        if name in BEST_OF:  # a NaN sample still shows, as in max_residual
+        skips = f"skipped {skipped} {suite.skip_reason}"
+        if not checked:  # a row with no checked sample cannot pass
+            residual, note = math.nan, f"no sample checked ({skips})"
+        elif name in BEST_OF:  # a NaN sample still shows, as in max_residual
             residual, note = -max_residual(-v for v in checked), BEST_OF[name]
         else:
-            residual = max_residual([0.0] + checked)
-            note = f"skipped {skipped} {suite.skip_reason}" if skipped else ""
+            residual = max_residual(checked)
+            note = skips if skipped else ""
         rep.add(name, residual, tolerance(args.suite, name, args.tol), note)
     rep.extra.update(suite.extra(args))
     return rep

@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 from . import theta_eta as th
 from .numerics import NumericsError, check_tau, poly_roots
@@ -154,7 +154,13 @@ def carlson_rf(x: complex, y: complex, z: complex) -> complex:
 
 @dataclass(frozen=True)
 class WeierstrassParams:
-    """Invariants plus a compatible period lattice basis (full periods)."""
+    """Invariants plus a compatible period lattice basis (full periods).
+
+    The constants of the lattice that wp and wp_inverse need on every call
+    (Laurent coefficients, branch points, shortest period, zeta at the half
+    periods) are cached properties: each is computed once per instance and
+    kept outside the fields, so hashing and equality are unchanged.
+    """
 
     g2: complex
     g3: complex
@@ -164,6 +170,33 @@ class WeierstrassParams:
     @property
     def tau(self) -> complex:
         return self.period2 / self.period1
+
+    @cached_property
+    def laurent(self) -> tuple:
+        """c_m with wp(z) = 1/z^2 + sum_{m>=2} c_m z^(2m-2) (A&S 18.5.3)."""
+        c = [0.0, 0.0, self.g2 / 20.0, self.g3 / 28.0]
+        for m in range(4, 24):
+            s = sum(c[j] * c[m - j] for j in range(2, m - 1))
+            c.append(3.0 * s / ((2 * m + 1) * (m - 3)))
+        return tuple(c)
+
+    @cached_property
+    def branch_points(self) -> tuple:
+        """Roots e1, e2, e3 of 4 t^3 - g2 t - g3."""
+        return tuple(poly_roots([4.0, 0.0, -self.g2, -self.g3]))
+
+    @cached_property
+    def shortest(self) -> float:
+        """Length of the shortest nonzero period (among |m|, |n| <= 2)."""
+        p1, p2 = self.period1, self.period2
+        return min(abs(m * p1 + n * p2) for m in range(-2, 3)
+                   for n in range(-2, 3) if (m, n) != (0, 0))
+
+    @cached_property
+    def eta_pair(self) -> tuple:
+        """zeta at both half-periods, via the ladder (no quasi-periods needed)."""
+        return tuple(_wp_ladder(half, self)[2]
+                     for half in (self.period1 / 2.0, self.period2 / 2.0))
 
     @staticmethod
     def from_periods(period1: complex, period2: complex) -> "WeierstrassParams":
@@ -236,11 +269,6 @@ class WeierstrassParams:
         return params
 
 
-def _lattice_shortest(p1: complex, p2: complex) -> float:
-    return min(abs(m * p1 + n * p2)
-               for m in range(-2, 3) for n in range(-2, 3) if (m, n) != (0, 0))
-
-
 def _lattice_reduce(z: complex, p1: complex, p2: complex):
     """z - (m p1 + n p2) of minimal modulus; returns (z0, m, n)."""
     det = p1.real * p2.imag - p1.imag * p2.real
@@ -259,12 +287,9 @@ def _lattice_reduce(z: complex, p1: complex, p2: complex):
     return best
 
 
-def _wp_series(z: complex, g2: complex, g3: complex):
-    """Laurent values (wp, wp', zeta) near 0; |z| must be well inside the cell."""
-    c = [0.0, 0.0, g2 / 20.0, g3 / 28.0]
-    for m in range(4, 24):
-        s = sum(c[j] * c[m - j] for j in range(2, m - 1))
-        c.append(3.0 * s / ((2 * m + 1) * (m - 3)))
+def _wp_series(z: complex, c) -> tuple:
+    """Laurent values (wp, wp', zeta) near 0 from the coefficients c_m;
+    |z| must be well inside the cell."""
     z2 = z * z
     p = 1.0 / z2
     dp = -2.0 / (z2 * z)
@@ -289,22 +314,17 @@ def _wp_duplicate(p, dp, zt, g2):
     return p2, dp2, zt2
 
 
-@lru_cache(maxsize=256)
-def _eta_pair(params: WeierstrassParams):
-    """zeta at both half-periods, via the ladder (no quasi-periods needed)."""
-    out = []
-    for half in (params.period1 / 2.0, params.period2 / 2.0):
-        rmin = _lattice_shortest(params.period1, params.period2)
-        k = 0
-        z = half
-        while abs(z) > 0.35 * rmin:
-            z /= 2.0
-            k += 1
-        p, dp, zt = _wp_series(z, params.g2, params.g3)
-        for _ in range(k):
-            p, dp, zt = _wp_duplicate(p, dp, zt, params.g2)
-        out.append(zt)
-    return tuple(out)
+def _wp_ladder(z: complex, params: WeierstrassParams) -> tuple:
+    """(wp, wp', zeta) at z near 0: halve into the Laurent ball, evaluate
+    the series there, then climb back with the duplication formulas."""
+    k = 0
+    while abs(z) > 0.35 * params.shortest:
+        z /= 2.0
+        k += 1
+    p, dp, zt = _wp_series(z, params.laurent)
+    for _ in range(k):
+        p, dp, zt = _wp_duplicate(p, dp, zt, params.g2)
+    return p, dp, zt
 
 
 def wp(z: complex, params: WeierstrassParams):
@@ -314,28 +334,19 @@ def wp(z: complex, params: WeierstrassParams):
     formulas back up; zeta picks up the quasi-period increments.
     """
     z = complex(z)
-    p1, p2 = params.period1, params.period2
-    z0, m, n = _lattice_reduce(z, p1, p2)
-    rmin = _lattice_shortest(p1, p2)
-    if abs(z0) < 1e-12 * rmin:
+    z0, m, n = _lattice_reduce(z, params.period1, params.period2)
+    if abs(z0) < 1e-12 * params.shortest:
         raise NumericsError(f"z={z} is a lattice point")
-    k = 0
-    zz = z0
-    while abs(zz) > 0.35 * rmin:
-        zz /= 2.0
-        k += 1
-    p, dp, zt = _wp_series(zz, params.g2, params.g3)
-    for _ in range(k):
-        p, dp, zt = _wp_duplicate(p, dp, zt, params.g2)
+    p, dp, zt = _wp_ladder(z0, params)
     if m or n:
-        eta1, eta2 = _eta_pair(params)
+        eta1, eta2 = params.eta_pair
         zt += 2.0 * m * eta1 + 2.0 * n * eta2
     return p, dp, zt
 
 
-def wp_branch_points(params: WeierstrassParams):
-    """Roots e1, e2, e3 of 4 t^3 - g2 t - g3."""
-    return poly_roots([4.0, 0.0, -params.g2, -params.g3])
+def wp_branch_points(params: WeierstrassParams) -> tuple:
+    """Roots e1, e2, e3 of 4 t^3 - g2 t - g3, computed once per lattice."""
+    return params.branch_points
 
 
 def wp_inverse(w: complex, params: WeierstrassParams,

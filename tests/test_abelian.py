@@ -45,6 +45,29 @@ def test_mero_identities():
         assert out["slope_fd_minus"] < 1e-6
 
 
+SLOPE_TAUS = (0.2 + 1.1j, 0.35 + 0.9j, -0.4 + 0.7j, 0.1 + 1.6j,
+              0.45 + 0.55j)
+
+
+def test_chain_rule_slope_against_fd_and_closed_form():
+    for tau in SLOPE_TAUS:
+        for sign in (+1, -1):
+            slope = ab.alpha_slope(tau, sign)
+            fd = ab.alpha_slope_fd(tau, sign)
+            exact = ab.alpha_slope_exact(tau, sign)
+            assert abs(slope - fd) < 1e-6 * abs(fd)
+            # the closed form fixes no branch of wp^-1, so agree up to sign
+            assert min(abs(slope - exact), abs(slope + exact)) < 1e-9 * abs(exact)
+
+
+@pytest.mark.parametrize("tau", [0.49935 + 0.50652j, 0.50345 + 0.50207j])
+def test_alpha_form_near_half_plus_half_i(tau):
+    # within 0.007 of (1 + i)/2, where a central difference in tau is off by 1e-7
+    out = ab.holo_differential_check(tau)
+    assert out["alpha_form_plus"] < 1e-9
+    assert out["alpha_form_minus"] < 1e-9
+
+
 def test_translation_by_group_period():
     tau = 0.2 + 1.1j
     a = ab.holo_differential_check(tau)

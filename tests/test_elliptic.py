@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -154,6 +155,65 @@ def test_wp_inverse_derivative_fd():
     fd = (plus - minus) / (2 * h)
     dp = el.wp(base, par)[1]
     assert abs(fd - 1 / dp) < 1e-6
+
+
+def _fresh_cover_params():
+    """The +1 cover lattice as a new instance, with none of its constants
+    computed yet."""
+    from thetafuchs import abelian as ab
+
+    return dataclasses.replace(ab.cover_params(+1))
+
+
+def test_lattice_constants_computed_once(monkeypatch):
+    calls = []
+    real = el.poly_roots
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(el, "poly_roots", counted)
+    par = _fresh_cover_params()
+    for k in range(100):
+        el.wp_inverse(0.3 + 0.01 * k + 0.4j, par)
+    assert len(calls) <= 1
+
+
+def test_cached_constants_leave_hash_and_equality_alone():
+    par = _fresh_cover_params()
+    before = hash(par)
+    el.wp_inverse(0.3 + 0.4j, par)
+    assert hash(par) == before
+    assert par == _fresh_cover_params()
+
+
+def _close(got, want, rtol=1e-14):
+    return all(abs(g - w) <= rtol * max(abs(w), 1.0)
+               for g, w in zip(got, want))
+
+
+def test_cached_lattice_constants_keep_the_values():
+    # values computed before the constants were cached, on the +1 cover
+    par = _fresh_cover_params()
+    assert _close(par.eta_pair,
+                  ((1.6584220707434465e-16 + 0.5473062856450119j),
+                   (0.27475364422472603 - 4.638303663959449e-16j)))
+    assert _close(el.wp_branch_points(par),
+                  ((-0.7357022603957548 - 2.8490879437895994e-14j),
+                   (0.26429773960448405 - 1.6155871338926322e-27j),
+                   (0.47140452079103173 + 0j)))
+    assert _close(el.wp(0.37 + 0.81j, par),
+                  ((-0.8666381605246783 - 0.8944928821492905j),
+                   (2.8213928628091463 - 0.6571599858093208j),
+                   (0.48665076513461075 - 1.0168635888578195j)))
+    # reduced by a nonzero period, so zeta takes the quasi-period pair
+    assert _close(el.wp(2.9 - 1.7j, par),
+                  ((0.13365369864230642 + 0.08403278090364497j),
+                   (-0.4068153338328553 + 0.1529133400889644j),
+                   (0.09566183109542814 + 0.5722584501483221j)))
+    assert _close([el.wp_inverse(0.3 + 0.4j, par)],
+                  [1.1277178017740022 - 0.7356703395891785j])
 
 
 def test_period_invariant_round_trip():

@@ -2,6 +2,7 @@ import cmath
 import math
 from fractions import Fraction
 
+from thetafuchs import jets
 from thetafuchs import theta_eta as th
 from thetafuchs.ddnum import CDD
 from thetafuchs.jets import Jet, theta_jet
@@ -107,3 +108,31 @@ def test_double_double_jets_match_complex():
                 for a, b in zip(ref, getattr(dd, name).d):
                     assert isinstance(b, CDD)
                     assert abs(b.to_complex() - a) < 1e-13 * size, (tau, c, name)
+
+
+def _keys_left_by(work):
+    jets._quad_jets.cache_clear()
+    jets._eta_jet.cache_clear()
+    work()
+    return jets._quad_jets.cache_info().currsize
+
+
+def test_jet_caches_hold_one_tau(monkeypatch):
+    # Every caller finishes its work at one tau before the next, so the
+    # caches need room for one tau's keys only; a quarter of it is plenty.
+    from thetafuchs import cli
+    from thetafuchs import fuchsian as fu
+    from thetafuchs import inversion as iv
+
+    limit = jets._quad_jets.cache_info().maxsize // 4
+    refined = []
+    real = fu.residual_dd
+
+    def counted(qid, tau):
+        refined.append(qid)
+        return real(qid, tau)
+
+    monkeypatch.setattr(fu, "residual_dd", counted)
+    assert _keys_left_by(lambda: cli._fuchsian_rows(2.4j)) <= limit
+    assert refined  # the tau took the double-double route too
+    assert _keys_left_by(lambda: iv.quintic_solve(0.3 + 0.2j)) <= limit

@@ -282,6 +282,19 @@ def test_nan_residual_fails_its_row(monkeypatch):
     assert all(c["pass"] for name, c in rows.items() if name != "landen")
 
 
+def test_row_with_no_checked_sample_fails():
+    # at seed 1 the only sample is puncture-adjacent for two curves
+    status, out = run_cli(["verify", "curves", "--samples", "1", "--seed", "1"])
+    assert status == 1
+    unchecked = {c["name"]: c for c in json.loads(out)["checks"]
+                 if c.get("note", "").startswith("no sample checked")}
+    assert set(unchecked) == {"dedekind38", "lemniscatic47"}
+    for row in unchecked.values():
+        assert math.isnan(row["residual"])
+        assert row["pass"] is False
+        assert row["note"] == "no sample checked (skipped 1 puncture-adjacent)"
+
+
 def test_nan_orbit_value_fails_octahedral_orbit_j(monkeypatch):
     real = cli.iv.octahedral_j
     calls = []
