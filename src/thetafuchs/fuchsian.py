@@ -22,6 +22,10 @@ from .jets import Jet, theta_jet
 from .numerics import NumericsError, check_tau, max_residual
 
 _CRITICAL_XTAU = 1e-6
+# A double residual above this is evaluated again in double-double: a tenth
+# of the fuchsian suite's tolerance, so no sample passes on doubles alone
+# without a margin.
+_REFINE_ABOVE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -264,12 +268,13 @@ def _residual_legendre(tau: complex, j: Jet) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Double-double refinement.  The fused residual is a function of the four
-# starting values (theta2, theta3, theta4, eta_w) alone, and it vanishes
-# identically in them: the closed system propagates any quadruple to a Mobius
-# reparametrization of the theta family, and both the bracket and Q(x) see
-# only that family.  Rounding in the assembly is therefore the entire error,
-# and redoing the arithmetic in ~32-digit precision removes it.
+# Double-double refinement.  The fused residual vanishes identically in tau,
+# so what a double evaluation reports is rounding: each derivative of the
+# series jets is rounded on its own, and near the cusp, where [x,tau] and
+# Q(x) both pass 1e6, the assembly cancels those roundings against each
+# other.  The same evaluation with a CDD tau runs the series, the jets and
+# the assembly in ~32-digit arithmetic, which pushes that rounding about
+# sixteen orders down, far below any tolerance.
 
 
 def residual_dd(qid: str, tau: complex) -> float:
@@ -331,12 +336,11 @@ def verify_fuchsian(qid: str, taus) -> dict:
     """Max |[x,tau] - Q(x)| over the sample; critical points are skipped.
 
     Residuals that come out above a tenth of the usual tolerance are
-    re-evaluated in double-double arithmetic.  The closed derivative system
-    propagates any four starting values to a Mobius reparametrization of the
-    same solution family and the bracket is Mobius-invariant, so the residual
-    vanishes identically as a function of the inputs; near the cusp, where
-    both [x,tau] and Q pass 1e6, plain doubles lose the cancellation and the
-    extended evaluation restores it.
+    re-evaluated in double-double arithmetic.  The residual vanishes
+    identically in tau, so a large double value is the rounding of the
+    series jets and of the assembly; near the cusp, where both [x,tau] and Q
+    pass 1e6, plain doubles lose the cancellation and the extended
+    evaluation, series included, restores it.
     """
     qf = q_catalogue(qid)
     if qf.uniformizer is None:
@@ -355,7 +359,7 @@ def verify_fuchsian(qid: str, taus) -> dict:
         else:
             _, mero = brackets_from_jet(j)
             r = abs(mero - qf.evaluator(j.d[0]))
-        if r > 1e-10:
+        if r > _REFINE_ABOVE:
             r = residual_dd(qid, tau)
         worst = max_residual((worst, r))
     return {"id": qid, "max_residual": worst, "skipped": skipped,
@@ -370,54 +374,68 @@ def _mero_from(jet: Jet) -> complex:
     return brackets_from_jet(jet)[1]
 
 
+def _change_of_var_rows(tau, xj: Jet) -> dict:
+    """The four change-of-variable residuals at one tau, given x's jet there.
+
+    Generic over complex and CDD tau, like the catalogue rows.
+    """
+    x = xj.d[0]
+    mero_x = _mero_from(xj)
+    rows = {}
+
+    zj = kprime2(tau, 3)  # z = x^4 as its own theta expression
+    mero_z = _mero_from(zj)
+    z_x = 4.0 * x ** 3
+    mero_zx = -15.0 / (32.0 * x ** 8)
+    rows["z_x4_law"] = abs(mero_z - (mero_zx + mero_x / z_x ** 2))
+    rows["z_x4_is_legendre"] = _residual_legendre(tau, zj)
+
+    # Mobius change w = (x+1)/(x-1): [w,x] = 0, w_x = -2/(x-1)^2
+    wj = (xj + 1.0) / (xj - 1.0)
+    mero_w = _mero_from(wj)
+    w_x = -2.0 / (x - 1.0) ** 2
+    rows["mobius"] = abs(mero_w - mero_x / w_x ** 2)
+
+    # hyperelliptic partner y(tau), bracket via implicit derivatives
+    yj = y_burnside(tau, 3)
+    y = yj.d[0]
+    mero_y = _mero_from(yj)
+    p = 5.0 * x ** 4 - 1.0
+    dp = 20.0 * x ** 3
+    ddp = 60.0 * x * x
+    y1 = p / (2.0 * y)
+    y2 = dp / (2.0 * y) - p * p / (4.0 * y ** 3)
+    y3 = (ddp / (2.0 * y) - 0.75 * p * dp / y ** 3
+          + 0.375 * p ** 3 / y ** 5)
+    sch_yx = y3 / y1 - 1.5 * (y2 / y1) ** 2
+    mero_yx = sch_yx / y1 ** 2
+    rows["pair_lemma"] = abs(mero_y - (mero_yx + mero_x / y1 ** 2))
+    return rows
+
+
 def change_of_var_check(taus) -> dict:
     """Residuals of [z,tau] = [z,x] + Q(x)/z_x^2 for three instructive pairs.
 
     z = x^4 uses the closed forms [z,x] = -15/(32 x^8), z_x = 4 x^3; the
     Mobius pair has [z,x] = 0; the hyperelliptic partner y recovers its
-    bracket from implicit differentiation of y^2 = x^5 - x.
+    bracket from implicit differentiation of y^2 = x^5 - x.  A tau at which
+    any row exceeds _REFINE_ABOVE in doubles is evaluated again in
+    double-double, the rule of verify_fuchsian; near y_x = 0 (tau about
+    0.7352559i) the pair lemma loses its digits to rounding alone.
     """
     out = {"z_x4_law": 0.0, "z_x4_is_legendre": 0.0, "mobius": 0.0,
            "pair_lemma": 0.0, "skipped": 0}
-
-    def worst(name, r):
-        out[name] = max_residual((out[name], r))
-
     for tau in taus:
         xj = x_burnside(tau, 3)
         if abs(xj.d[1]) < _CRITICAL_XTAU:
             out["skipped"] += 1
             continue
-        x = xj.d[0]
-        mero_x = _mero_from(xj)
-
-        zj = kprime2(tau, 3)  # z = x^4 as its own theta expression
-        mero_z = _mero_from(zj)
-        z_x = 4.0 * x ** 3
-        mero_zx = -15.0 / (32.0 * x ** 8)
-        worst("z_x4_law", abs(mero_z - (mero_zx + mero_x / z_x ** 2)))
-        worst("z_x4_is_legendre", _residual_legendre(tau, zj))
-
-        # Mobius change w = (x+1)/(x-1): [w,x] = 0, w_x = -2/(x-1)^2
-        wj = (xj + 1.0) / (xj - 1.0)
-        mero_w = _mero_from(wj)
-        w_x = -2.0 / (x - 1.0) ** 2
-        worst("mobius", abs(mero_w - mero_x / w_x ** 2))
-
-        # hyperelliptic partner y(tau), bracket via implicit derivatives
-        yj = y_burnside(tau, 3)
-        y = yj.d[0]
-        mero_y = _mero_from(yj)
-        p = 5.0 * x ** 4 - 1.0
-        dp = 20.0 * x ** 3
-        ddp = 60.0 * x * x
-        y1 = p / (2.0 * y)
-        y2 = dp / (2.0 * y) - p * p / (4.0 * y ** 3)
-        y3 = (ddp / (2.0 * y) - 0.75 * p * dp / y ** 3
-              + 0.375 * p ** 3 / y ** 5)
-        sch_yx = y3 / y1 - 1.5 * (y2 / y1) ** 2
-        mero_yx = sch_yx / y1 ** 2
-        worst("pair_lemma", abs(mero_y - (mero_yx + mero_x / y1 ** 2)))
+        rows = _change_of_var_rows(tau, xj)
+        if any(r > _REFINE_ABOVE for r in rows.values()):
+            dd = CDD.from_complex(check_tau(tau))
+            rows = _change_of_var_rows(dd, x_burnside(dd, 3))
+        for name, r in rows.items():
+            out[name] = max_residual((out[name], r))
     return out
 
 
@@ -483,11 +501,35 @@ def _theorema_residual(yj: Jet) -> float:
     return abs(a * a + 32.0 * b ** 3 + math.pi ** 2 * y ** 10 * b * b)
 
 
+def closed_system(t2: Jet, t3: Jet, t4: Jet, w: Jet):
+    """Right-hand sides of the closed first-order system, as jets.
+
+    Jacobi's equations for theta2, theta3 and theta4, and Ramanujan's
+    E2' = (pi i/6)(E2^2 - E4) written in eta_w = (pi^2/12) E2, with
+    E4 = (theta2^8 + theta3^8 + theta4^8)/2.  Jets of order n give the
+    derivatives of theta2', theta3', theta4', eta_w' to order n, in the
+    arithmetic of the jets.
+    """
+    pi = th.arithmetic(t2.value).pi
+    ip, pf = 1j / pi, pi * 1j / 12.0
+    f2, f3, f4 = t2.pow(4), t3.pow(4), t4.pow(4)
+    return (t2 * (ip * w + pf * (f3 + f4)),
+            t3 * (ip * w + pf * (f2 - f4)),
+            t4 * (ip * w - pf * (f2 + f3)),
+            ip * (2.0 * w * w - pi ** 4 / 144.0 * (f2 * f2 + f3 * f3 + f4 * f4)))
+
+
 def modular_ode_residuals(tau: complex) -> dict:
     """Residuals of the third-order and weight-2 identities at one tau."""
     tau = check_tau(tau)
     res = {}
     base = theta_jet(tau, (1, 0), 3)
+    # the closed system, which the series jets must satisfy
+    jets = (base.t2, base.t3, base.t4, base.etaw)
+    rhs = closed_system(*(j.truncate(0) for j in jets))
+    for name, lhs, r in zip(("jacobi_theta2", "jacobi_theta3", "jacobi_theta4",
+                             "ramanujan_e2"), jets, rhs):
+        res[name] = abs(lhs.d[1] - r.d[0])
     res["theorema_theta3"] = _theorema_residual(base.t3)
     res["theorema_theta4"] = _theorema_residual(base.t4)
 

@@ -2,20 +2,23 @@
 
 A Jet holds the derivatives (f, f', f'', ...) of a function at one point and
 supports field arithmetic, exp/log, and rational powers via Leibniz and chain
-rules.  Derivatives of the four base constants theta2, theta3, theta4, eta_w
-come from their closed first-order system
+rules.  The base jets of theta2, theta3, theta4 and of E2, hence of
+eta_w = (pi^2/12) E2, are the term-wise differentiated q-series of theta_eta
+(theta_series, e2_series), summed in the same pass as the values.  Dedekind's
+eta follows from pi * eta' = i * eta * eta_w, so any finite expression in
+these constants at affine arguments c*tau + d differentiates exactly to the
+requested order.  The jets are generic over the scalar type: a complex
+argument gives double jets, a ddnum.CDD argument double-double ones.
+
+The closed first-order system
 
     theta2'/theta2 = (i/pi) eta_w + (pi i/12)(theta3^4 + theta4^4)
     theta3'/theta3 = (i/pi) eta_w + (pi i/12)(theta2^4 - theta4^4)
     theta4'/theta4 = (i/pi) eta_w - (pi i/12)(theta2^4 + theta3^4)
     eta_w'        = (i/pi)(2 eta_w^2 - (pi^4/144)(theta2^8 + theta3^8 + theta4^8))
 
-together with pi * eta' = i * eta * eta_w for Dedekind's eta, so any finite
-expression in these constants at affine arguments c*tau + d differentiates
-exactly to the requested order.  The system is propagated in the tails
-theta3 - 1, theta4 - 1 and E2 - 1 (see _rhs), and the jets are generic over
-the scalar type: a complex argument gives double jets, a ddnum.CDD argument
-double-double ones.
+is not used to build the jets; it checks them, as four rows of
+fuchsian.modular_ode_residuals and in the tests up to order 6.
 """
 
 from __future__ import annotations
@@ -176,37 +179,7 @@ class Jet:
 
 
 # ---------------------------------------------------------------------------
-# Base jets of the constant quadruple via the closed system
-
-
-def _sq_tail(t):
-    """(1+t)^2 - 1 = t (2 + t), free of the 1 - 1 cancellation."""
-    return t * (2.0 + t)
-
-
-def _rhs(pi, t2: Jet, t3t: Jet, t4t: Jet, e2t: Jet):
-    """The closed system on theta2 and the tails theta3-1, theta4-1, E2-1.
-
-    With eta_w = (pi^2/12) E2, T = theta^4 - 1 and U = theta^8 - 1 it reads
-
-        theta2' = (pi i/12) theta2 (3 + (E2-1) + T3 + T4)
-        theta3' = (pi i/12) theta3 ((E2-1) + theta2^4 - T4)
-        theta4' = (pi i/12) theta4 ((E2-1) - theta2^4 - T3)
-        E2'     = (pi i/12) (2 ((1+(E2-1))^2 - 1) - theta2^8 - U3 - U4)
-
-    Near the cusp the log-derivatives of theta3, theta4 and E2 are
-    exponentially small differences of order-one quantities; in tails they
-    cancel exactly.
-    """
-    pf = pi * 1j / 12.0
-    t2sq = t2 * t2
-    q2 = t2sq * t2sq
-    q3, q4 = _sq_tail(_sq_tail(t3t)), _sq_tail(_sq_tail(t4t))
-    r2 = t2 * (pf * (3.0 + e2t + q3 + q4))
-    r3 = (1.0 + t3t) * (pf * (e2t + q2 - q4))
-    r4 = (1.0 + t4t) * (pf * (e2t - q2 - q3))
-    re2 = pf * (2.0 * _sq_tail(e2t) - q2 * q2 - _sq_tail(q3) - _sq_tail(q4))
-    return r2, r3, r4, re2
+# Base jets from the series
 
 
 # The jet caches hold the keys of one tau: every caller (cli.cmd_verify, the
@@ -220,34 +193,33 @@ def _rhs(pi, t2: Jet, t3t: Jet, t4t: Jet, e2t: Jet):
 JET_CACHE_SIZE = 64
 
 
+def _with_one(tail) -> Jet:
+    """Jet of 1 + f from the derivatives of the tail f."""
+    return Jet([1.0 + tail[0], *tail[1:]])
+
+
 @lru_cache(maxsize=JET_CACHE_SIZE)
 def _quad_jets(sigma, order: int):
-    """Jets of (theta2, theta3, theta4, eta_w) at sigma to the given order.
+    """Jets of (theta2, theta3, theta4) at sigma to the given order.
 
     sigma is complex or a CDD, and the jets are in the same arithmetic.
+    eta_w, the fourth constant, is built on first use by _eta_jet.
     """
-    sigma = check_tau(sigma)
-    ar = th.arithmetic(sigma)
-    vals = [[v] for v in th.theta_series(sigma)] + [[th.e2_tail(sigma)]]
-    for m in range(order):
-        rhs = _rhs(ar.pi, *(Jet(v) for v in vals))
-        for v, r in zip(vals, rhs):
-            v.append(r.d[m])
-    t2, t3t, t4t, e2t = (Jet(v) for v in vals)
-    return t2, 1.0 + t3t, 1.0 + t4t, ar.eta_w_scale() * (1.0 + e2t)
+    d = th.theta_series(check_tau(sigma), order)
+    return Jet(d[0::3]), _with_one(d[1::3]), _with_one(d[2::3])
 
 
 @lru_cache(maxsize=JET_CACHE_SIZE)
-def _eta_jet(sigma, order: int) -> Jet:
-    """Jet of Dedekind eta from pi*eta' = i*eta*eta_w."""
-    w = _quad_jets(sigma, order)[3]
-    ip = 1j / th.arithmetic(sigma).pi
+def _eta_jet(sigma, order: int):
+    """Jets of (eta, eta_w) at sigma: eta_w from the E2 series, then eta from
+    pi*eta' = i*eta*eta_w."""
+    ar = th.arithmetic(check_tau(sigma))
+    w = ar.eta_w_scale() * _with_one(th.e2_series(sigma, order))
+    ip = 1j / ar.pi
     vals = [th.eta(sigma)]
     for m in range(order):
-        ej = Jet(vals)
-        r = ip * (ej * w.truncate(m))
-        vals.append(r.d[m])
-    return Jet(vals)
+        vals.append((ip * (Jet(vals) * w.truncate(m))).d[m])
+    return Jet(vals), w
 
 
 def _rescale(jet: Jet, c: float) -> Jet:
@@ -259,8 +231,8 @@ def _rescale(jet: Jet, c: float) -> Jet:
 class ThetaJet:
     """Jets (in tau) of the constants evaluated at the argument c*tau + d.
 
-    The eta jet is built on first use: the uniformizers of the Fuchsian
-    catalogue need only the theta quadruple.
+    The eta and eta_w jets are built on first use: the uniformizers of the
+    Fuchsian catalogue need only the theta triple.
     """
 
     tau: object
@@ -269,12 +241,15 @@ class ThetaJet:
     t2: Jet
     t3: Jet
     t4: Jet
-    etaw: Jet
     sigma: object = field(repr=False, compare=False)
 
     @property
     def eta(self) -> Jet:
-        return _rescale(_eta_jet(self.sigma, self.order), self.scale[0])
+        return _rescale(_eta_jet(self.sigma, self.order)[0], self.scale[0])
+
+    @property
+    def etaw(self) -> Jet:
+        return _rescale(_eta_jet(self.sigma, self.order)[1], self.scale[0])
 
     @property
     def frame(self) -> th.ThetaFrame:
@@ -298,6 +273,6 @@ def theta_jet(tau, scale=(1, 0), order: int = 1) -> ThetaJet:
     if cf <= 0:
         raise NumericsError(f"scale {cf} takes tau out of the half-plane")
     sigma = cf * tau + df
-    t2, t3, t4, w = _quad_jets(sigma, order)
+    t2, t3, t4 = _quad_jets(sigma, order)
     return ThetaJet(tau, (cf, df), order, _rescale(t2, cf), _rescale(t3, cf),
-                    _rescale(t4, cf), _rescale(w, cf), sigma)
+                    _rescale(t4, cf), sigma)

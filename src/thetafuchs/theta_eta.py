@@ -12,9 +12,13 @@ series, which converges like a theta series and so shares the same term cap.
 
 eta_w is the Weierstrass zeta-value at 1 on the lattice with half-periods
 (1, tau).  It equals c * E2(tau) with E2 the weight-2 Eisenstein series in
-exp(2 pi*i*tau); the constant c is fixed once at import time by forcing the
-theta3 member of the closed derivative system at tau = 2i and is checked
-against the analytic value pi^2/12.
+exp(2 pi*i*tau); the constant c is fixed on first use by forcing the theta3
+member of the closed derivative system at tau = 2i and is checked against
+the analytic value pi^2/12.
+
+theta_series and e2_series also return the tau-derivatives of their sums to
+a requested order, differentiated term by term in the same pass; these are
+the base jets of the jets module.
 
 Every series here is generic over the scalar type of tau: a complex tau is
 summed in doubles, a ddnum.CDD tau in double-double.  arithmetic(tau) picks
@@ -32,7 +36,8 @@ from typing import Callable, NamedTuple
 from .ddnum import CDD, DD_PI, DD_PI_SQ_12, DD_SERIES_EPS, cdd_exp
 from .numerics import TOL, NumericsError, check_tau
 
-_MAX_TERMS = 64
+_MAX_TERMS = 64           # theta-type sums, exponents quadratic in k
+_MAX_LINEAR_TERMS = 512   # sums with exponents linear in n
 
 
 class SeriesTruncationError(NumericsError):
@@ -70,32 +75,65 @@ def _sum_capped(terms, what: str, eps: float, cap: int = _MAX_TERMS):
     return total
 
 
-def theta_series(tau):
-    """(theta2, theta3 - 1, theta4 - 1) from one pass over the powers q^{k^2}.
+def theta_series(tau, order: int = 0):
+    """theta2, theta3 - 1 and theta4 - 1 with their tau-derivatives to order.
 
-    q^{(k+1)^2} = q^{k^2} q^{2k+1} builds the powers by multiplication, and
-    theta2 = 2 q^{1/4} sum_{k>=0} q^{k^2+k} reuses them as q^{k^2} q^k.  The
-    pass stops once q^{k^2} is negligible against both tails, the smallest
-    of the three sums.
+    Returns a flat tuple: the m-th derivatives of the three sums are at
+    3m, 3m + 1 and 3m + 2, so order 0 gives (theta2, theta3 - 1, theta4 - 1).
+    One pass over the powers q^{k^2} builds them by multiplication,
+    q^{(k+1)^2} = q^{k^2} q^{2k+1}.  Term by term,
+
+        d^m/dtau^m q^{k^2}       = (i pi k^2)^m q^{k^2},
+        d^m/dtau^m q^{(k+1/2)^2} = (i pi (2k+1)^2/4)^m q^{1/4} q^{k^2+k},
+
+    so the derivative sums carry the integer weights k^{2m} and (2k+1)^{2m},
+    and the factors (i pi)^m and 4^-m are applied once at the end; those of
+    theta3 and theta4 are sums over even k plus, or minus, sums over odd k.
+    The pass stops once the last term, weighted for the top order as
+    q^{k^2} k^{2 order}, is negligible against both tails theta3 - 1 and
+    theta4 - 1.  In these units a derivative sum is at least as large as the
+    tails, save where it cancels, and no number of terms cures cancellation.
     """
     tau = check_tau(tau)
     exp, pi, eps, _ = arithmetic(tau)
     q = exp(1j * pi * tau)
     q2 = q * q
-    power, odd, qk = q, q2 * q, q     # q^{k^2}, q^{2k+1}, q^k at k = 1
+    power, step, qk = q, q2 * q, q    # q^{k^2}, q^{2k+1}, q^k at k = 1
     s2 = 1.0 + 0.0j                   # sum_{k>=0} q^{k^2+k}
     s3 = s4 = 0.0 + 0.0j              # sum_{k>=1} q^{k^2}, (-1)^k q^{k^2}
+    if order:                         # the sums for m = 1..order:
+        d2 = [1.0 + 0.0j] * order     # (2k+1)^{2m} q^{k^2+k}, k >= 0
+        even, odd = parity = ([0.0j] * order, [0.0j] * order)  # k^{2m} q^{k^2}
     for k in range(1, _MAX_TERMS):
-        s2 = s2 + power * qk
+        a = power * qk
+        s2 = s2 + a
         s3 = s3 + power
         s4 = s4 - power if k % 2 else s4 + power
-        if abs(power) < eps * max(min(abs(s3), abs(s4)), 1e-300):
-            return 2.0 * exp(0.25j * pi * tau) * s2, 2.0 * s3, 2.0 * s4
-        power = power * odd
-        odd = odd * q2
+        b = power                     # the term, weighted for the top order
+        if order:
+            sums = parity[k % 2]
+            ksq, wsq = k * k, (2 * k + 1) ** 2
+            for m in range(order):
+                a, b = a * wsq, b * ksq
+                d2[m] += a
+                sums[m] += b
+        if abs(b) < eps * max(min(abs(s3), abs(s4)), 1e-300):
+            break
+        power = power * step
+        step = step * q2
         qk = qk * q
-    raise SeriesTruncationError(
-        f"theta: series needs more than {_MAX_TERMS} terms")
+    else:
+        raise SeriesTruncationError(
+            f"theta: series needs more than {_MAX_TERMS} terms")
+    front = 2.0 * exp(0.25j * pi * tau)   # 2 q^{1/4}
+    out = (front * s2, 2.0 * s3, 2.0 * s4)
+    w = 1.0                               # (i pi)^m
+    for m in range(order):
+        w = w * (1j * pi)
+        c = 2.0 * w
+        out += (front * (w * 0.25 ** (m + 1)) * d2[m], c * (even[m] + odd[m]),
+                c * (even[m] - odd[m]))
+    return out
 
 
 def theta2(tau):
@@ -151,7 +189,7 @@ def eta(tau):
 
 def lambert_series(power: int, tau):
     """sum_{k>=1} k^power qb^k/(1-qb^k), qb = exp(2 pi*i*tau): the q-series
-    of E2 (power 1), E4 (3) and E6 (5)."""
+    of E4 (power 3) and E6 (5)."""
     tau = check_tau(tau)
     exp, pi, eps, _ = arithmetic(tau)
     qb = exp(2j * pi * tau)
@@ -164,42 +202,80 @@ def lambert_series(power: int, tau):
             qk = qk * qb
             k += 1
 
-    return _sum_capped(terms(), f"Lambert series k^{power}", eps, cap=512)
+    return _sum_capped(terms(), f"Lambert series k^{power}", eps,
+                       cap=_MAX_LINEAR_TERMS)
+
+
+@lru_cache(maxsize=1)
+def _divisor_sums() -> tuple:
+    """sigma_1(n) for n < _MAX_LINEAR_TERMS, sieved on first use."""
+    sigma = [0] * _MAX_LINEAR_TERMS
+    for d in range(1, _MAX_LINEAR_TERMS):
+        for n in range(d, _MAX_LINEAR_TERMS, d):
+            sigma[n] += d
+    return tuple(sigma)
+
+
+def e2_series(tau, order: int = 0):
+    """E2 - 1 and its tau-derivatives 0..order, as a tuple of order + 1 entries.
+
+    E2 = 1 - 24 sum_{n>=1} sigma_1(n) qb^n with qb = exp(2 pi*i*tau), so the
+    m-th derivative carries the weight (2 pi*i n)^m; the sums carry n^m and
+    (2 pi*i)^m is applied once at the end.  The sum stops once the last term,
+    weighted for the top order as sigma_1(n) qb^n n^order, is negligible
+    against E2 - 1, as in theta_series.
+    """
+    tau = check_tau(tau)
+    exp, pi, eps, _ = arithmetic(tau)
+    qb = exp(2j * pi * tau)
+    sigma = _divisor_sums()
+    total = 0.0j                      # sum sigma_1(n) qb^n
+    if order:
+        sums = [0.0j] * order         # sum sigma_1(n) n^m qb^n, m = 1..order
+    power = qb
+    for n in range(1, _MAX_LINEAR_TERMS):
+        t = power * sigma[n]
+        total = total + t
+        if order:
+            for m in range(order):
+                t = t * n
+                sums[m] += t
+        if abs(t) < eps * max(abs(total), 1e-300):
+            break
+        power = power * qb
+    else:
+        raise SeriesTruncationError(
+            f"E2: series needs more than {_MAX_LINEAR_TERMS} terms")
+    out = (-24.0 * total,)
+    w = -24.0                         # -24 (2 pi*i)^m
+    for m in range(order):
+        w = w * (2j * pi)
+        out += (w * sums[m],)
+    return out
 
 
 def e2_tail(tau):
-    """E2(tau) - 1 = -24 sum k qb^k/(1-qb^k)."""
-    return -24.0 * lambert_series(1, tau)
+    """E2(tau) - 1."""
+    return e2_series(tau)[0]
 
 
 def eisenstein_e2(tau):
-    """E2(tau) = 1 - 24 sum k*qb^k/(1-qb^k), qb = exp(2 pi*i*tau)."""
+    """E2(tau) = 1 - 24 sum sigma_1(n) qb^n, qb = exp(2 pi*i*tau)."""
     return 1.0 + e2_tail(tau)
-
-
-def _theta3_deriv_series(tau: complex) -> complex:
-    """d theta3 / d tau by term-wise differentiation (calibration oracle)."""
-    q = cmath.exp(1j * math.pi * tau)
-
-    def terms():
-        k = 1
-        while True:
-            yield 2j * math.pi * k * k * q ** (k * k)
-            k += 1
-
-    return _sum_capped(terms(), "theta3'", TOL.series_eps)
 
 
 @lru_cache(maxsize=1)
 def eta_w_scale() -> float:
     """Calibration constant c in eta_w = c * E2.
 
-    Solved from the theta3 equation of the closed system at tau = 2i:
+    Solved from the theta3 equation of the closed system at tau = 2i, with
+    theta3' from the order-1 series:
         theta3'/theta3 = (i/pi) eta_w + (pi*i/12)(theta2^4 - theta4^4).
     The result must agree with pi^2/12 (lattice half-periods (1, tau)).
     """
     t0 = 2j
-    lhs = _theta3_deriv_series(t0) / theta3(t0)
+    t3 = theta_series(t0, 1)[1::3]
+    lhs = t3[1] / (1.0 + t3[0])
     quartic = (math.pi * 1j / 12.0) * (theta2(t0) ** 4 - theta4(t0) ** 4)
     c = ((lhs - quartic) * math.pi / 1j / eisenstein_e2(t0)).real
     expected = math.pi ** 2 / 12.0
@@ -264,6 +340,7 @@ def identity_residuals(tau: complex) -> dict[str, float]:
     t3s, t4s = theta3(tau + 0.5), theta4(tau + 0.5)
     e = eta(tau)
     e1, e2_, e3 = eta(2 * tau), eta(tau / 2), eta((tau + 1) / 2)
+    exp, pi, _, _ = arithmetic(tau)   # exact constants for a CDD tau
 
     res = {
         "half_t2": abs(t2h ** 2 - 2.0 * t2 * t3),
@@ -283,7 +360,7 @@ def identity_residuals(tau: complex) -> dict[str, float]:
         "jacobi_quartic": abs(t3 ** 4 - t2 ** 4 - t4 ** 4),
         "eta_triple": abs(2.0 * e ** 3 - t2 * t3 * t4),
         "dedekind_sum": abs(16.0 * e1 ** 8 + e2_ ** 8
-                            + cmath.exp(2j * math.pi / 3.0) * e3 ** 8),
-        "dedekind_prod": abs(e1 * e2_ * e3 - cmath.exp(1j * math.pi / 24.0) * e ** 3),
+                            + exp(2j * pi / 3.0) * e3 ** 8),
+        "dedekind_prod": abs(e1 * e2_ * e3 - exp(1j * pi / 24.0) * e ** 3),
     }
     return res

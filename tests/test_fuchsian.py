@@ -82,6 +82,26 @@ def test_change_of_variable_law():
     assert out["pair_lemma"] < 1e-9
 
 
+def test_pair_lemma_refined_near_y_critical():
+    # y_tau = 0 near 0.7352559i, where the pair lemma loses its digits in
+    # doubles; change_of_var_check evaluates such a tau in double-double
+    tau_c = 0.7352559285991116j
+    for angle in (0.3, 2.0, 4.1):
+        out = fu.change_of_var_check([tau_c + 0.002 * cmath.exp(1j * angle)])
+        assert out["pair_lemma"] < 1e-12
+        assert out["skipped"] == 0
+        assert all(type(out[name]) is float for name in
+                   ("z_x4_law", "z_x4_is_legendre", "mobius", "pair_lemma"))
+
+
+def test_closed_system_rows():
+    for tau in (1j, 0.3 + 0.45j, -0.2 + 2.4j):
+        res = fu.modular_ode_residuals(tau)
+        for name in ("jacobi_theta2", "jacobi_theta3", "jacobi_theta4",
+                     "ramanujan_e2"):
+            assert res[name] < 1e-12, (tau, name)
+
+
 def test_schwarzian_cocycle():
     assert fu.schwarzian_cocycle_check(0.23 + 1.2j) < 1e-9
 

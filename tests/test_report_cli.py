@@ -12,6 +12,7 @@ import pytest
 
 import thetafuchs
 from thetafuchs import cli
+from thetafuchs.jets import JET_CACHE_SIZE, Jet
 from thetafuchs.report import RunReport
 
 
@@ -122,6 +123,20 @@ def test_every_command_takes_format():
 
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_traced_names_resolve(monkeypatch):
+    # The benchmark's traced run wraps these names by hand; a renamed or
+    # deleted one would raise AttributeError only there.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    for module, names in tracing.ENTRY_POINTS.values():
+        for name in names:
+            assert callable(getattr(module, name)), (module.__name__, name)
+    for name in tracing.JET_METHODS:
+        assert callable(getattr(Jet, name)), name
+    for cache in tracing.JET_CACHES:
+        assert cache.cache_info().maxsize == JET_CACHE_SIZE
 
 
 def test_tolerance_table_agrees_with_the_benchmark(monkeypatch):

@@ -72,6 +72,17 @@ def test_identity_corpus_seeded_sweep():
     assert worst < 1e-11
 
 
+def test_dedekind_relations_in_double_double():
+    # both constants come from the arithmetic of tau, so a CDD tau keeps
+    # Dedekind's relations far below the double rounding unit
+    from thetafuchs.ddnum import CDD
+
+    for tau in (1j, 0.3 + 0.8j, -0.4 + 1.7j):
+        res = th.identity_residuals(CDD.from_complex(tau))
+        assert res["dedekind_sum"] < 1e-25, tau
+        assert res["dedekind_prod"] < 1e-25, tau
+
+
 def test_modular_shift_consistency():
     for tau in (0.3 + 0.8j, 1.2j):
         assert abs(th.theta4(tau + 1) - th.theta3(tau)) < 1e-12
