@@ -13,11 +13,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import elliptic as el
 from . import theta_eta as th
 from .curves import x_quotient
 from .fuchsian import x_burnside
+from .jets import JET_CACHE_SIZE
 from .numerics import NumericsError, check_tau
 
 SQRT2 = math.sqrt(2.0)
@@ -84,10 +86,24 @@ def mobius_bridge_residual(tau: complex) -> float:
     return abs(wp_argument_theta(tau, +1) - wp_rational(m, +1))
 
 
+@lru_cache(maxsize=JET_CACHE_SIZE)
+def _cover_alpha(tau: complex, sign: int):
+    """(alpha, wp(alpha), wp'(alpha)) on the cover of this sign at tau.
+
+    The integrals checks are separate calls at one tau, and each reads the
+    same two cover points, so the wp^-1 solve and the wp after it run once
+    per (tau, sign).  Like the jet caches, the cache holds one tau's keys
+    and relies on callers walking tau in the outer loop.
+    """
+    par = cover_params(sign)
+    alpha = el.wp_inverse(wp_argument(tau, sign), par)
+    pv, dv, _ = el.wp(alpha, par)
+    return alpha, pv, dv
+
+
 def alpha_pm(tau: complex):
     """Both torus coordinates (alpha_plus, alpha_minus) at tau."""
-    return (el.wp_inverse(wp_argument(tau, +1), cover_params(+1)),
-            el.wp_inverse(wp_argument(tau, -1), cover_params(-1)))
+    return _cover_alpha(tau, +1)[0], _cover_alpha(tau, -1)[0]
 
 
 def _alpha_aligned(tau: complex, sign: int, base: complex) -> complex:
@@ -111,9 +127,7 @@ def alpha_slope(tau: complex, sign: int) -> complex:
     wp_rational_slope(x) x_tau; wp' comes from wp at the alpha that
     wp_inverse returns, x and x_tau from the Burnside jet.
     """
-    par = cover_params(sign)
-    alpha = el.wp_inverse(wp_argument(tau, sign), par)
-    dv = el.wp(alpha, par)[1]
+    dv = _cover_alpha(tau, sign)[2]
     j = x_burnside(tau, 1)
     x, x1 = j.d[0], j.d[1]
     return wp_rational_slope(x, sign) * x1 / dv
@@ -121,7 +135,7 @@ def alpha_slope(tau: complex, sign: int) -> complex:
 
 def alpha_slope_fd(tau: complex, sign: int, h: float = 1e-4) -> complex:
     """d alpha/d tau by aligned central differences (cross-oracle path)."""
-    base = el.wp_inverse(wp_argument(tau, sign), cover_params(sign))
+    base = _cover_alpha(tau, sign)[0]
     plus = _alpha_aligned(tau + h, sign, base)
     minus = _alpha_aligned(tau - h, sign, base)
     return (plus - minus) / (2.0 * h)
@@ -151,9 +165,7 @@ def cover_relation_residuals(tau: complex) -> dict:
     out = {"mobius_bridge": mobius_bridge_residual(tau)}
     for sign, key in ((+1, "plus"), (-1, "minus")):
         s = 1.0 if sign > 0 else -1.0
-        par = cover_params(sign)
-        alpha = el.wp_inverse(wp_argument(tau, sign), par)
-        pv, dv, _ = el.wp(alpha, par)
+        _, pv, dv = _cover_alpha(tau, sign)
         out[f"wp_{key}"] = abs(pv - wp_rational(x, sign))
         dp_target = (2.0 * cmath.sqrt(1.0 - 1j) / (SQRT2 - s * 2.0)
                      * (x + s * 1j * SQRT_I) * cmath.sqrt(x ** 5 - x)
@@ -262,9 +274,7 @@ def mero_identity_check(tau: complex) -> dict:
     wp_val = {}
     slope = {}
     for sign in (+1, -1):
-        par = cover_params(sign)
-        alpha = el.wp_inverse(wp_argument(tau, sign), par)
-        wp_val[sign] = el.wp(alpha, par)[0]
+        wp_val[sign] = _cover_alpha(tau, sign)[1]
         slope[sign] = alpha_slope_exact(tau, sign)
     for sign, key in ((+1, "plus"), (-1, "minus")):
         s = 1.0 if sign > 0 else -1.0
@@ -384,9 +394,7 @@ def torus_metric_check(tau: complex) -> dict:
     """
     tau = check_tau(tau)
     sign = +1
-    par = cover_params(sign)
-    alpha = el.wp_inverse(wp_argument(tau, sign), par)
-    pv, dv, _ = el.wp(alpha, par)
+    _, pv, dv = _cover_alpha(tau, sign)
     x = x_quotient(tau)
 
     dx = burnside_x_density(x).density

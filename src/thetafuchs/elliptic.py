@@ -84,9 +84,9 @@ def hyp2f1_half_series(z: complex, max_terms: int = 4000) -> complex:
 
 def legendre_moduli(tau: complex):
     """(k, k') = (theta2^2/theta3^2, theta4^2/theta3^2) at tau."""
-    tau = check_tau(tau)
-    t3sq = th.theta3(tau) ** 2
-    return th.theta2(tau) ** 2 / t3sq, th.theta4(tau) ** 2 / t3sq
+    t2, t3t, t4t = th.theta_series(tau)
+    t3sq = (1.0 + t3t) ** 2
+    return t2 ** 2 / t3sq, (1.0 + t4t) ** 2 / t3sq
 
 
 def eisenstein_e4(tau: complex) -> complex:
@@ -356,10 +356,15 @@ def wp_inverse(w: complex, params: WeierstrassParams,
     Computed as the Carlson form of int_w^inf ds/sqrt(4s^3-g2 s-g3); of the
     pair {alpha, -alpha} the representative with Re >= 0 (ties to Im >= 0) is
     returned.
+
+    The Newton polish stops at |wp(alpha) - w| < 1e-13 max(1, |w|), or at
+    the round-off floor: once a step fails to halve the residual, the
+    better of the last two alphas is kept.
     """
     e1, e2, e3 = wp_branch_points(params)
     alpha = carlson_rf(w - e1, w - e2, w - e3)
     if polish:
+        last = None              # (alpha, |residual|) before the last step
         for _ in range(6):
             p, dp, _ = wp(alpha, params)
             err = p - w
@@ -367,6 +372,11 @@ def wp_inverse(w: complex, params: WeierstrassParams,
                 break
             if abs(dp) < 1e-12:
                 raise NumericsError("wp_inverse at a branch value: ambiguous")
+            if last is not None and abs(err) > 0.5 * last[1]:
+                if abs(err) > last[1]:
+                    alpha = last[0]
+                break
+            last = (alpha, abs(err))
             alpha = alpha - err / dp
     z0, _, _ = _lattice_reduce(alpha, params.period1, params.period2)
     if z0.real < 0 or (z0.real == 0 and z0.imag < 0):

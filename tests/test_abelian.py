@@ -149,3 +149,67 @@ def test_residuals_are_path_independent():
     backward = [ab.holo_differential_check(t)["x_form_plus"]
                 for t in reversed(taus)]
     assert forward == list(reversed(backward))
+
+
+# ---------------------------------------------------------------------------
+# One cover point per (tau, sign), shared by the three integrals checks
+
+INTEGRAL_KEYS = {
+    "mobius_bridge", "wp_plus", "wp_minus", "wp_prime_plus", "wp_prime_minus",
+    "wp_prime_sign_plus", "wp_prime_sign_minus",
+    "x_form_plus", "x_form_minus", "x_form_sign_plus", "x_form_sign_minus",
+    "alpha_form_plus", "alpha_form_minus",
+    "alpha_form_sign_plus", "alpha_form_sign_minus",
+    "i1_vs_direct", "i2_vs_direct", "display_sheet",
+    "linear_plus", "linear_minus", "linear_plus_sheet", "linear_minus_sheet",
+    "slope_fd_plus", "slope_fd_minus"}
+
+
+def _integral_parts(tau):
+    return (ab.cover_relation_residuals(tau), ab.holo_differential_check(tau),
+            ab.mero_identity_check(tau))
+
+
+def test_cover_point_solved_once_per_sign(monkeypatch):
+    from thetafuchs import elliptic as el
+
+    tau, h = 0.23 + 1.07j, 1e-4
+    solved = []
+    real_inverse = el.wp_inverse
+
+    def counted(w, params, *args, **kwargs):
+        solved.append(w)
+        return real_inverse(w, params, *args, **kwargs)
+
+    monkeypatch.setattr(el, "wp_inverse", counted)
+    ab._cover_alpha.cache_clear()
+    _integral_parts(tau)
+    # two solves at tau, and the four off-tau solves of the finite difference
+    expected = [ab.wp_argument(t, s) for t in (tau, tau + h, tau - h)
+                for s in (+1, -1)]
+    assert sorted(solved, key=lambda w: (w.real, w.imag)) == sorted(
+        expected, key=lambda w: (w.real, w.imag))
+
+
+def test_cached_cover_point_keeps_the_rows(monkeypatch):
+    tau = -0.31 + 0.82j
+    ab._cover_alpha.cache_clear()
+    first = _integral_parts(tau)
+    warm = _integral_parts(tau)
+    ab._cover_alpha.cache_clear()
+    cold = _integral_parts(tau)
+    # and with every cover point solved afresh, as before the cache
+    monkeypatch.setattr(ab, "_cover_alpha", ab._cover_alpha.__wrapped__)
+    uncached = _integral_parts(tau)
+    assert first == warm == cold == uncached
+    assert set().union(*first) == INTEGRAL_KEYS
+
+
+def test_cover_point_cache_holds_one_tau():
+    from thetafuchs import cli
+    from thetafuchs.jets import JET_CACHE_SIZE
+
+    ab._cover_alpha.cache_clear()
+    cli._integral_rows(0.4 + 1.3j)
+    assert ab._cover_alpha.cache_info().maxsize == JET_CACHE_SIZE
+    assert ab._cover_alpha.cache_info().currsize <= JET_CACHE_SIZE // 4

@@ -259,3 +259,37 @@ def test_phi_satisfies_legendre_ode_in_modulus_square():
         zv = z.d[0]
         resid = zv * (zv - 1) * phi_zz + (2 * zv - 1) * phi_z + phi.d[0] / 4
         assert abs(resid) < 1e-9
+
+
+def test_wp_inverse_polish_stops_at_round_off(monkeypatch):
+    # Over the 200-sample `verify integrals` grid at seed 7, no call takes
+    # more than two Newton steps.  A call of n steps evaluates wp n + 2
+    # times: once per step, once to test the last step and once for the
+    # final residual check.
+    from thetafuchs import abelian as ab
+    from thetafuchs import cli
+
+    evaluations = []             # wp calls of each wp_inverse call
+    inside = [False]
+    real_wp, real_inverse = el.wp, el.wp_inverse
+
+    def counted_wp(*args, **kwargs):
+        if inside[0]:
+            evaluations[-1] += 1
+        return real_wp(*args, **kwargs)
+
+    def counted_inverse(*args, **kwargs):
+        evaluations.append(0)
+        inside[0] = True
+        try:
+            return real_inverse(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(el, "wp", counted_wp)
+    monkeypatch.setattr(el, "wp_inverse", counted_inverse)
+    ab._cover_alpha.cache_clear()
+    for tau in tau_grid(200, seed=7, im_range=cli.SUITES["integrals"].im_range):
+        cli._integral_rows(tau)
+    assert len(evaluations) == 200 * 6
+    assert max(evaluations) - 2 <= 2
