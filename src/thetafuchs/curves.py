@@ -95,9 +95,12 @@ class CurveSpec:
 
 
 def chi_burnside(tau: complex) -> complex:
-    """chi(tau) = -theta4(tau/2)/theta3(tau/2), the conformal-map generator."""
-    tau = check_tau(tau)
-    return -th.theta4(tau / 2.0) / th.theta3(tau / 2.0)
+    """chi(tau) = -theta4(tau/2)/theta3(tau/2), the conformal-map generator.
+
+    Both thetas come from one series pass at tau/2.
+    """
+    _, s3, s4 = th.theta_series(check_tau(tau) / 2.0)
+    return -(1.0 + s4) / (1.0 + s3)
 
 
 def phi_burnside(tau: complex) -> complex:

@@ -83,7 +83,22 @@ def hyp2f1_half_series(z: complex, max_terms: int = 4000) -> complex:
 
 
 def legendre_moduli(tau: complex):
-    """(k, k') = (theta2^2/theta3^2, theta4^2/theta3^2) at tau."""
+    """(k, k') = (theta2^2/theta3^2, theta4^2/theta3^2) at tau.
+
+    Inside the unit circle the series are summed at sigma = -1/tau, where
+    Im sigma = Im tau/|tau|^2 is larger, and (k, k')(tau) = (k', k)(sigma)
+    since S swaps theta2 and theta4.  Near the cusp 0, k' is exponentially
+    small and theta4(tau) = 1 + (theta4 - 1) would be pure round-off; at
+    sigma it is theta2^2/theta3^2, accurate to its last bits.
+    """
+    tau = check_tau(tau)
+    if abs(tau) < 1.0:
+        kp, k = _moduli(-1.0 / tau)
+        return k, kp
+    return _moduli(tau)
+
+
+def _moduli(tau: complex):
     t2, t3t, t4t = th.theta_series(tau)
     t3sq = (1.0 + t3t) ** 2
     return t2 ** 2 / t3sq, (1.0 + t4t) ** 2 / t3sq

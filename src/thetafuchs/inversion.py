@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import elliptic as el
 from . import theta_eta as th
@@ -157,7 +158,7 @@ class QuinticSolution:
     roots: tuple
     taus: tuple          # half-plane points, or 'oo' markers at a = 0
     poly_residuals: tuple
-    theta_residuals: tuple
+    theta_residuals: tuple  # |rhs(tau_1) - a|, then |x(sigma) - root| per root
     vieta_residual: float
     newton_iterations: int
 
@@ -168,7 +169,11 @@ def modular_quintic_rhs(tau: complex) -> complex:
     return 16.0 * th.eta(2.0 * tau) ** 6 / th.theta3(tau) ** 6
 
 
+# Newton evaluates f and f' at the same iterate, and the solver reads the
+# value at its last iterate again: one entry serves all three.
+@lru_cache(maxsize=1)
 def _rhs_and_slope(tau: complex):
+    """16 eta^6(2 tau)/theta3^6(tau) and its tau-derivative, from the jets."""
     j2 = theta_jet(tau, (2, 0), 1)
     j1 = theta_jet(tau, (1, 0), 1)
     g = 16.0 * j2.eta.pow(6) / j1.t3.pow(6)
@@ -255,7 +260,7 @@ def quintic_solve(a: complex, seed_scale: float = 1e-3,
     roots = [x1] + sorted(rest, key=lambda z: (round(cmath.phase(z), 9),
                                                round(abs(z), 9)))
     taus = [tau]
-    theta_res = [abs(x_quotient(tau) - x1)]
+    theta_res = [abs(_rhs_and_slope(tau)[0] - a)]
     for r in roots[1:]:
         inv = invert_chi(-r)
         if isinstance(inv, BranchPointResult):

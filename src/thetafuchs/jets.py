@@ -93,10 +93,15 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return Jet([other * a for a in self.d])
-        o = other
-        n = min(self.order, o.order)
-        return Jet([sum(comb(k, j) * self.d[j] * o.d[k - j] for j in range(k + 1))
-                    for k in range(n + 1)])
+        a, b = self.d, other.d
+        out = []
+        for k in range(min(len(a), len(b))):   # Leibniz; a binomial 1 is left out
+            acc = a[0] * b[k]
+            for j in range(1, k + 1):
+                c = comb(k, j)
+                acc += c * a[j] * b[k - j] if c > 1 else a[j] * b[k - j]
+            out.append(acc)
+        return Jet(out)
 
     __rmul__ = __mul__
 

@@ -248,33 +248,44 @@ def gamma4_equivalent(m1: ProjMatrix, m2: ProjMatrix) -> bool:
     return membership(m1 @ m2.inv(), "Gamma4")
 
 
+# The five parabolic generators of Gamma(4) and their inverses, as the
+# sign-normalized integer quadruples of their ProjMatrix forms.
+_GAMMA4_STEPS = tuple(g.entries() for v in V_TABLE for g in (v, v.inv()))
+
+
 def gamma4_reduce(tau: complex):
     """Height-maximizing representative of the Gamma(4) orbit.
 
     Greedy ascent over the five parabolic generators and their inverses,
     followed by translation into Re in [-1/2, 7/2].  Useful before theta
     evaluation: orbit points hugging the real axis are moved up.
+
+    Each step applies (a tau + b)/(c tau + d) with the integer entries, the
+    float operations of mobius, and the word is kept as four integers; one
+    ProjMatrix is built at the end, which fixes the sign once.
     """
     tau = check_tau(tau)
-    m = IDENTITY
-    gens = []
-    for v in V_TABLE:
-        gens.extend((v, v.inv()))
+    ma, mb, mc, md = 1, 0, 0, 1
     for _ in range(500):
+        floor = tau.imag * (1 + 1e-12)
         best = None
-        for g in gens:
-            img = mobius(g, tau)
-            if img != INFINITY and img.imag > tau.imag * (1 + 1e-12):
-                if best is None or img.imag > best[0].imag:
-                    best = (img, g)
+        for g in _GAMMA4_STEPS:
+            a, b, c, d = g
+            img = (a * tau + b) / (c * tau + d)
+            if img.imag > floor and (best is None or img.imag > best.imag):
+                best, step = img, g
         if best is None:
             break
-        tau, m = best[0], best[1] @ m
+        a, b, c, d = step
+        tau = best
+        ma, mb, mc, md = (a * ma + b * mc, a * mb + b * md,
+                          c * ma + d * mc, c * mb + d * md)
     shift = -int(math.floor((tau.real + 0.5) / 4.0))
     if shift:
-        t4 = ProjMatrix(1, 4 * shift, 0, 1)
-        tau, m = mobius(t4, tau), t4 @ m
-    return tau, m
+        b = 4 * shift
+        tau = (1 * tau + b) / (0 * tau + 1)   # as mobius, to the last bit
+        ma, mb = ma + b * mc, mb + b * md
+    return tau, ProjMatrix(ma, mb, mc, md)
 
 
 # ---------------------------------------------------------------------------

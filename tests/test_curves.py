@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -88,6 +89,18 @@ def test_chi_special_value_sign():
     val = cv.chi_burnside(1j * math.sqrt(2))
     assert val.real < 0
     assert abs(abs(val) - math.sqrt(math.sqrt(2) - 1)) < 1e-12
+
+
+def test_chi_is_the_theta_quotient_bit_for_bit():
+    from thetafuchs import theta_eta as th
+
+    rng = random.Random(19)
+    for _ in range(300):
+        tau = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.05, 3.0))
+        want = -th.theta4(tau / 2.0) / th.theta3(tau / 2.0)
+        got = cv.chi_burnside(tau)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(),
+                                                    want.imag.hex())
 
 
 def test_discriminant_hyperelliptic():

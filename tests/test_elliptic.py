@@ -244,6 +244,18 @@ def test_moduli_cusp_limits():
     assert abs(kp - 1) < 1e-12
 
 
+def test_moduli_near_cusp_zero_against_mpmath():
+    # k' is exponentially small toward the cusp 0; at these points the
+    # direct series gave theta4 = 1 + (theta4 - 1) as pure round-off
+    mp.mp.dps = 40
+    for tau in (0.0021836 + 0.0152496j, 0.00051 + 0.01555j, 0.3 + 0.05j):
+        q = mp.expjpi(mp.mpc(tau.real, tau.imag))
+        t2, t3, t4 = (mp.jtheta(n, 0, q) for n in (2, 3, 4))
+        k, kp = el.legendre_moduli(tau)
+        assert abs(kp - (t4 / t3) ** 2) <= 1e-12 * abs((t4 / t3) ** 2)
+        assert abs(k - (t2 / t3) ** 2) <= 1e-12 * abs((t2 / t3) ** 2)
+
+
 def test_phi_satisfies_legendre_ode_in_modulus_square():
     # Phi1 = (pi/2) theta3^2 against the hypergeometric equation in z = k^2,
     # all derivatives through exact jets and the chain rule

@@ -3,6 +3,7 @@ import time
 
 from thetafuchs import inversion as iv
 from thetafuchs.curves import chi_burnside, x_quotient
+from thetafuchs.jets import theta_jet
 from thetafuchs.numerics import SeededGrid, tau_grid
 
 
@@ -72,6 +73,30 @@ def test_quintic_small_real():
     assert max(sol.theta_residuals) < 1e-10
     assert sol.vieta_residual < 1e-9
     assert abs(x_quotient(sol.taus[0]) - sol.roots[0]) < 1e-10
+
+
+def test_quintic_evaluates_each_newton_iterate_once(monkeypatch):
+    taus = []
+
+    def counting(tau, scale=(1, 0), order=1):
+        taus.append(tau)
+        return theta_jet(tau, scale, order)
+
+    iv._rhs_and_slope.cache_clear()
+    monkeypatch.setattr(iv, "theta_jet", counting)
+    for a in (0.01, 0.3 + 0.2j, 1.5 + 0.5j):  # 1.5+0.5j continues a path
+        taus.clear()
+        sol = iv.quintic_solve(a)
+        # theta_jet at tau and at 2 tau, once per iterate; a Newton step
+        # that leaves the half-plane fails at its first jet
+        inside = [t for t in taus if t.imag > 0]
+        assert len(inside) == 2 * len(set(inside))
+        # the first root's theta residual is the modular equation's own
+        rhs = iv.modular_quintic_rhs(sol.taus[0])
+        assert sol.theta_residuals[0] == abs(iv._rhs_and_slope(sol.taus[0])[0]
+                                             - a)
+        assert 0.0 < sol.theta_residuals[0] <= 1e-13
+        assert abs(rhs - a) < 1e-12
 
 
 def test_quintic_complex():

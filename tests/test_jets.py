@@ -6,7 +6,7 @@ from thetafuchs import jets
 from thetafuchs import theta_eta as th
 from thetafuchs.ddnum import CDD
 from thetafuchs.jets import Jet, theta_jet
-from thetafuchs.numerics import fd_jet
+from thetafuchs.numerics import fd_jet, tau_grid
 
 
 def test_jet_orders_against_fd():
@@ -144,3 +144,30 @@ def test_jet_caches_hold_one_tau(monkeypatch):
     assert _keys_left_by(lambda: cli._fuchsian_rows(2.5j)) <= limit
     assert refined  # the tau took the double-double route too
     assert _keys_left_by(lambda: iv.quintic_solve(0.3 + 0.2j)) <= limit
+
+
+def _leibniz_reference(f, g):
+    """The product as it was summed before: every binomial, from int 0."""
+    n = min(f.order, g.order)
+    return [sum(math.comb(k, j) * f.d[j] * g.d[k - j] for j in range(k + 1))
+            for k in range(n + 1)]
+
+
+def test_product_matches_the_full_leibniz_sum():
+    # CDD products agree in all four floats; complex ones in both parts,
+    # except that an exactly zero part may keep the sign of its terms
+    # (-0.0) where the sum from int 0 gave +0.0
+    def bits(z):
+        if isinstance(z, CDD):
+            return tuple(v.hex() for v in (z.rh, z.rl, z.ih, z.il))
+        return tuple(v.hex() if v else 0.0 for v in (z.real, z.imag))
+
+    for n, tau in enumerate(tau_grid(24, seed=19, im_range=(0.3, 2.5))):
+        if n % 3 == 0:
+            tau = CDD.from_complex(tau)
+        tj = theta_jet(tau, (1 + n % 2, 0), n % 7)
+        factors = (tj.t2, tj.t3, -tj.t4, tj.t3.pow(3))
+        for f in factors:
+            for g in factors:
+                assert ([bits(z) for z in (f * g).d]
+                        == [bits(z) for z in _leibniz_reference(f, g)])

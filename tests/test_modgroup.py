@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -91,6 +94,49 @@ def test_gamma4_reduce_fixes_chi():
     reduced, word = mg.gamma4_reduce(image)
     assert abs(chi_burnside(reduced) - chi_burnside(tau)) < 1e-11
     assert abs(mg.mobius(word, image) - reduced) < 1e-10
+
+
+def _gamma4_reduce_reference(tau):
+    """The ProjMatrix ascent that gamma4_reduce's integer form replaced."""
+    m = mg.IDENTITY
+    gens = []
+    for v in mg.V_TABLE:
+        gens.extend((v, v.inv()))
+    for _ in range(500):
+        best = None
+        for g in gens:
+            img = mg.mobius(g, tau)
+            if img != mg.INFINITY and img.imag > tau.imag * (1 + 1e-12):
+                if best is None or img.imag > best[0].imag:
+                    best = (img, g)
+        if best is None:
+            break
+        tau, m = best[0], best[1] @ m
+    shift = -int(math.floor((tau.real + 0.5) / 4.0))
+    if shift:
+        t4 = mg.ProjMatrix(1, 4 * shift, 0, 1)
+        tau, m = mg.mobius(t4, tau), t4 @ m
+    return tau, m
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def test_gamma4_reduce_matches_the_projmatrix_ascent():
+    rng = random.Random(4)
+    for n in range(500):
+        tau = complex(rng.uniform(-4.0, 4.0),
+                      math.exp(rng.uniform(math.log(1e-3), math.log(3.0))))
+        if n % 5 == 0:  # orbit points of a reduced point, as invert_chi feeds
+            tau = mg.mobius(mg.coset_reps()[n % 24], 2.0 * tau)
+        point, word = mg.gamma4_reduce(tau)
+        ref_point, ref_word = _gamma4_reduce_reference(tau)
+        assert _bits(point) == _bits(ref_point)
+        assert word.entries() == ref_word.entries()
+        assert mg.membership(word, "Gamma4")
+        assert point.imag >= tau.imag
+        assert -0.5 <= point.real < 3.5
 
 
 def test_disc_map():

@@ -29,6 +29,39 @@ def test_same_tree_shows_no_difference(monkeypatch, capsys):
     monkeypatch.setattr(vd, "SUITES", ("identities",))
     monkeypatch.setattr(vd, "SEEDS", (3,))
     monkeypatch.setattr(vd, "SAMPLES", (5,))
+    monkeypatch.setattr(vd, "point_cases", lambda: [])
     assert vd.compare(vd.ROOT, jobs=2) == 0
     assert "1 (suite, seed, samples) runs per tree: 0 differ" in (
         capsys.readouterr().out)
+
+
+def test_point_commands_cover_every_answer():
+    cases = vd.point_cases()
+    assert ("exact-values",) in cases
+    assert sum(c[0] == "invert" for c in cases) == 8
+    assert sum(c[0] == "quintic" for c in cases) == 6
+    for fn in ("theta", "k"):
+        assert sum(c[:2] == ("eval", fn) for c in cases) == 6
+    # a negative value is passed as --opt=value, which argparse accepts
+    assert ("invert", "--value=-0.7,0.2") in cases
+    assert all(arg.startswith("--") or not arg.startswith("-")
+               for case in cases for arg in case)
+
+
+def test_point_runs_compare_answers(monkeypatch, capsys):
+    monkeypatch.setattr(vd, "verify_cases", lambda: [])
+    monkeypatch.setattr(vd, "point_cases", lambda: [
+        ("invert", "--value=-0.7,0.2"), ("eval", "k", "--tau=0.1,0.05")])
+    assert vd.compare(vd.ROOT, jobs=2) == 0
+    assert "2 point-command runs per tree: 0 differ" in capsys.readouterr().out
+
+
+def test_changed_rows_names_moved_answers():
+    old = json.dumps({"checks": [{"name": "evaluated", "residual": 0.0}],
+                      "extra": {"k": {"re": 1.0, "im": 0.0},
+                                "k_prime": {"re": 2e-44, "im": 0.0}}})
+    new = json.dumps({"checks": [{"name": "evaluated", "residual": 0.0}],
+                      "extra": {"k": {"re": 1.0, "im": 0.0},
+                                "k_prime": {"re": 6e-44, "im": 0.0}}})
+    assert vd.changed_rows(old.encode(), new.encode()) == [
+        'extra.k_prime: {"re": 2e-44, "im": 0.0} -> {"re": 6e-44, "im": 0.0}']

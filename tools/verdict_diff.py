@@ -1,16 +1,18 @@
-"""Did any verdict move?  Compare `thetafuchs verify` output with another revision.
+"""Did any verdict or answer move?  Compare `thetafuchs` output with another
+revision.
 
     python3 tools/verdict_diff.py REV [--jobs N]
 
-Checks REV out into a temporary `git worktree`, then runs
+Exports REV's files with `git archive` into a temporary directory, then runs
 `thetafuchs verify SUITE --seed S --samples N` for every suite, seeds 1-7
-and 20, and 20 and 200 samples, once from that worktree and once from this
-working tree (uncommitted edits included), each run in a fresh interpreter
-with only that tree's `src/` on the path.  The two stdouts of every run are
-compared byte for byte.  Each (suite, seed, samples) that differs is printed
-with its changed rows, and the exit status is 1 if any differs, else 0 (2
-if REV cannot be checked out).  The worktree is removed on exit.  Standard
-library only, and no network.
+and 20, and 20 and 200 samples, and a fixed set of point commands
+(`exact-values`, `invert --value A`, `quintic --a A`, `eval theta|k --tau T`),
+once from that copy and once from this working tree (uncommitted edits
+included), each run in a fresh interpreter with only that tree's `src/` on
+the path.  The two stdouts of every run are compared byte for byte.  Each
+run that differs is printed with its changed rows and report fields, and the
+exit status is 1 if any differs, else 0 (2 if REV cannot be exported).  The
+copy is removed on exit.  Standard library only, and no network.
 """
 
 from __future__ import annotations
@@ -28,25 +30,53 @@ SUITES = ("identities", "curves", "fuchsian", "modular-odes", "integrals",
           "metrics")
 SEEDS = (1, 2, 3, 4, 5, 6, 7, 20)
 SAMPLES = (20, 200)
+# Point commands, each one answer that no verify suite prints: the inversion
+# of chi (two values near branch values, where its rows fail), the quintic,
+# the special-value table, and theta and the Legendre moduli at fixed tau
+# (three inside the unit circle, one of them near the cusp 0).
+INVERT_VALUES = ("0.5,0.3", "-0.7,0.2", "0.3,-0.9", "1.2,0.4", "-0.4,-0.45",
+                 "0.9,0.9", "0.999999999,0", "0.02,0.01")
+QUINTIC_AS = ("0.01,0", "0.3,0.2", "-0.2,0.35", "0.1,-0.1", "0.4,0",
+              "0,0.25")
+EVAL_TAUS = ("0.3,1.1", "-0.45,0.6", "1.7,0.2", "0.5,2", "0.1,0.05",
+             "0.0021836,0.0152496")
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_verify(tree: Path, suite: str, seed: int, samples: int):
-    """(exit status, stdout bytes) of one verify run from tree's sources."""
+def verify_cases() -> list:
+    return [("verify", suite, "--seed", str(seed), "--samples", str(samples))
+            for samples in SAMPLES for suite in SUITES for seed in SEEDS]
+
+
+def point_cases() -> list:
+    return ([("exact-values",)]
+            + [("invert", f"--value={a}") for a in INVERT_VALUES]
+            + [("quintic", f"--a={a}") for a in QUINTIC_AS]
+            + [("eval", fn, f"--tau={t}") for fn in ("theta", "k")
+               for t in EVAL_TAUS])
+
+
+def run_cli(tree: Path, argv: tuple):
+    """(exit status, stdout bytes) of one thetafuchs run from tree's sources."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "thetafuchs.cli", "verify", suite,
-         "--seed", str(seed), "--samples", str(samples)],
-        cwd=tree, env=env, capture_output=True)
+    proc = subprocess.run([sys.executable, "-m", "thetafuchs.cli", *argv],
+                          cwd=tree, env=env, capture_output=True)
     return proc.returncode, proc.stdout
 
 
-def _rows(stdout: bytes):
-    """{row name: row} of a JSON verify report, or None if it is not one."""
+def _document(stdout: bytes):
+    """A JSON report with its rows by name, or None if it is not one."""
     try:
-        return {row["name"]: row for row in json.loads(stdout)["checks"]}
+        doc = json.loads(stdout)
+        doc["checks"] = {row["name"]: row for row in doc["checks"]}
+        return doc
     except (ValueError, KeyError, TypeError):
         return None
+
+
+def _short(value) -> str:
+    text = json.dumps(value)
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def _row_text(row) -> str:
@@ -57,68 +87,92 @@ def _row_text(row) -> str:
 
 
 def changed_rows(old: bytes, new: bytes) -> list[str]:
-    """One line per row whose fields differ, or the raw outputs if either
-    side is not a JSON report."""
-    before, after = _rows(old), _rows(new)
+    """One line per row, then per extra field, whose content differs, or the
+    raw outputs if either side is not a JSON report."""
+    before, after = _document(old), _document(new)
     if before is None or after is None:
         return [f"stdout: {old[-200:]!r} -> {new[-200:]!r}"]
-    lines = [f"{name}: {_row_text(before.get(name))} -> "
-             f"{_row_text(after.get(name))}"
-             for name in sorted(before.keys() | after.keys())
-             if before.get(name) != after.get(name)]
-    if not lines:  # the rows agree, so something else in the document moved
+    rows_b, rows_a = before["checks"], after["checks"]
+    lines = [f"{name}: {_row_text(rows_b.get(name))} -> "
+             f"{_row_text(rows_a.get(name))}"
+             for name in sorted(rows_b.keys() | rows_a.keys())
+             if rows_b.get(name) != rows_a.get(name)]
+    extra_b, extra_a = before.get("extra", {}), after.get("extra", {})
+    lines += [f"extra.{key}: {_short(extra_b.get(key))} -> "
+              f"{_short(extra_a.get(key))}"
+              for key in sorted(extra_b.keys() | extra_a.keys())
+              if extra_b.get(key) != extra_a.get(key)]
+    if not lines:  # rows and extras agree, so something else moved
         lines.append("rows identical; other report fields differ")
     return lines
 
 
-def compare(base: Path, jobs: int) -> int:
-    """Run the matrix in base and in this tree; print differences; count them."""
-    cases = [(suite, seed, samples) for samples in SAMPLES
-             for suite in SUITES for seed in SEEDS]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = {
-            (case, side): pool.submit(run_verify, tree, *case)
-            for case in cases for side, tree in (("base", base), ("here", ROOT))}
-        differing = 0
-        for case in cases:
-            (old_status, old), (new_status, new) = (
-                results[case, "base"].result(), results[case, "here"].result())
-            if old_status == new_status and old == new:
-                continue
-            differing += 1
-            suite, seed, samples = case
-            print(f"DIFF {suite} seed {seed} samples {samples}: "
-                  f"exit {old_status} -> {new_status}")
-            for line in changed_rows(old, new):
-                print(f"  {line}")
-    print(f"{len(cases)} (suite, seed, samples) runs per tree: "
-          f"{differing} differ, {len(cases) - differing} byte-identical")
+def _compare_runs(pool, base: Path, cases: list) -> int:
+    """Run cases in base and in this tree; print each difference; count."""
+    results = {(case, side): pool.submit(run_cli, tree, case)
+               for case in cases for side, tree in (("base", base),
+                                                    ("here", ROOT))}
+    differing = 0
+    for case in cases:
+        (old_status, old), (new_status, new) = (
+            results[case, "base"].result(), results[case, "here"].result())
+        if old_status == new_status and old == new:
+            continue
+        differing += 1
+        print(f"DIFF {' '.join(case)}: exit {old_status} -> {new_status}")
+        for line in changed_rows(old, new):
+            print(f"  {line}")
     return differing
+
+
+def compare(base: Path, jobs: int) -> int:
+    """Run the verify matrix and the point commands in base and in this
+    tree; print the differences; count them."""
+    verify, points = verify_cases(), point_cases()
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        differing = _compare_runs(pool, base, verify)
+        print(f"{len(verify)} (suite, seed, samples) runs per tree: "
+              f"{differing} differ, {len(verify) - differing} byte-identical")
+        moved = _compare_runs(pool, base, points)
+        print(f"{len(points)} point-command runs per tree: "
+              f"{moved} differ, {len(points) - moved} byte-identical")
+    return differing + moved
+
+
+def export(rev: str, dest: Path) -> bool:
+    """Write the files of commit rev into dest (`git archive`); False if git
+    or tar fails."""
+    dest.mkdir()
+    archive = subprocess.Popen(["git", "archive", "--format=tar", rev],
+                               cwd=ROOT, stdout=subprocess.PIPE)
+    untar = subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout)
+    archive.stdout.close()
+    return archive.wait() == 0 and untar.returncode == 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="compare every verify verdict with another revision")
+        description="compare every verify verdict and a set of point "
+                    "answers with another revision")
     parser.add_argument("rev", help="git revision to compare against")
     parser.add_argument("--jobs", type=int, default=2,
-                        help="verify runs at a time (default 2)")
+                        help="thetafuchs runs at a time (default 2)")
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
+    commit = subprocess.run(
+        ["git", "rev-parse", "--verify", "--short", f"{args.rev}^{{commit}}"],
+        cwd=ROOT, capture_output=True, text=True)
+    if commit.returncode:
+        print(commit.stderr.strip(), file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory(prefix="verdict-diff-") as tmp:
         base = Path(tmp) / "tree"
-        if subprocess.run(["git", "worktree", "add", "--detach", "--quiet",
-                           str(base), args.rev], cwd=ROOT).returncode:
-            return 2             # git has said why (e.g. an unknown REV)
-        try:
-            commit = subprocess.run(
-                ["git", "rev-parse", "--short", "HEAD"], cwd=base, check=True,
-                capture_output=True, text=True).stdout.strip()
-            print(f"base {args.rev} ({commit}) against the working tree")
-            differing = compare(base, args.jobs)
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(base)],
-                           cwd=ROOT, check=False)
+        if not export(commit.stdout.strip(), base):
+            return 2             # git or tar has said why
+        print(f"base {args.rev} ({commit.stdout.strip()}) against the "
+              "working tree")
+        differing = compare(base, args.jobs)
     return 1 if differing else 0
 
 
