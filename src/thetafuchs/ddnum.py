@@ -456,15 +456,22 @@ class CDD:
                      self.rh, self.rl, self.ih, self.il)
 
     def __pow__(self, n: int) -> "CDD":
-        """Integer powers by repeated squaring."""
+        """Integer powers by repeated squaring, from the lowest set bit, with
+        no unit factor and no squaring after the top bit."""
         if n < 0:
             return 1.0 / self ** -n
-        out = CDD((1.0, 0.0))
+        if not n:
+            return CDD((1.0, 0.0))
         base = self
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        out = base
+        n >>= 1
         while n:
+            base = base * base
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
         return out
 

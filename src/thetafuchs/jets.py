@@ -32,6 +32,13 @@ from math import comb
 from . import theta_eta as th
 from .ddnum import CDD, as_cdd
 from .numerics import NumericsError, check_tau
+from .theta_eta import JET_CACHE_SIZE
+
+
+@lru_cache(maxsize=None)
+def _pascal(n: int) -> tuple:
+    """Rows 0..n-1 of Pascal's triangle: _pascal(n)[k][j] = comb(k, j)."""
+    return tuple(tuple(comb(k, j) for j in range(k + 1)) for k in range(n))
 
 
 class Jet:
@@ -77,12 +84,12 @@ class Jet:
 
     def __add__(self, other):
         o = self._coerce(other, self.order)
-        return Jet([a + b for a, b in zip(self.d, o.d)])
+        return _jet(tuple(a + b for a, b in zip(self.d, o.d)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet([-a for a in self.d])
+        return _jet(tuple(-a for a in self.d))
 
     def __sub__(self, other):
         return self + (-self._coerce(other, self.order))
@@ -92,16 +99,19 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet([other * a for a in self.d])
+            return _jet(tuple(other * a for a in self.d))
         a, b = self.d, other.d
+        n = min(len(a), len(b))
+        rows = _pascal(n)
         out = []
-        for k in range(min(len(a), len(b))):   # Leibniz; a binomial 1 is left out
+        for k in range(n):   # Leibniz; a binomial 1 is left out
+            row = rows[k]
             acc = a[0] * b[k]
             for j in range(1, k + 1):
-                c = comb(k, j)
+                c = row[j]
                 acc += c * a[j] * b[k - j] if c > 1 else a[j] * b[k - j]
             out.append(acc)
-        return Jet(out)
+        return _jet(tuple(out))
 
     __rmul__ = __mul__
 
@@ -110,25 +120,29 @@ class Jet:
         n = min(self.order, o.order)
         if not o.d[0]:
             raise NumericsError("jet division by zero value")
+        rows = _pascal(n + 1)
         h = [self.d[0] / o.d[0]]
         for k in range(1, n + 1):
+            row = rows[k]
             acc = self.d[k]
             for j in range(k):
-                acc -= comb(k, j) * h[j] * o.d[k - j]
+                acc -= row[j] * h[j] * o.d[k - j]
             h.append(acc / o.d[0])
-        return Jet(h)
+        return _jet(tuple(h))
 
     def __rtruediv__(self, other):
         return Jet.const(other, self.order) / self
 
     def exp(self) -> "Jet":
+        rows = _pascal(self.order)
         h = [th.arithmetic(self.d[0]).exp(self.d[0])]
         for k in range(1, self.order + 1):
+            row = rows[k - 1]
             acc = 0.0
             for j in range(k):
-                acc += comb(k - 1, j) * self.d[k - j] * h[j]
+                acc += row[j] * self.d[k - j] * h[j]
             h.append(acc)
-        return Jet(h)
+        return _jet(tuple(h))
 
     def log(self) -> "Jet":
         """Principal-branch logarithm jet."""
@@ -147,14 +161,21 @@ class Jet:
     def pow(self, a) -> "Jet":
         """f^a on the principal branch, a any rational or complex constant."""
         if isinstance(a, int) and a >= 0:
-            out = Jet.const(1.0, self.order)
+            # square-and-multiply from the lowest set bit, with no unit
+            # factor and no squaring after the top bit
+            if not a:
+                return Jet.const(1.0, self.order)
             base = self
-            k = a
-            while k:
-                if k & 1:
-                    out = out * base
+            while not a & 1:
                 base = base * base
-                k >>= 1
+                a >>= 1
+            out = base
+            a >>= 1
+            while a:
+                base = base * base
+                if a & 1:
+                    out = out * base
+                a >>= 1
             return out
         if isinstance(a, Fraction):
             a = a.numerator / a.denominator
@@ -162,13 +183,15 @@ class Jet:
             raise NumericsError("jet power of zero value")
         # h = f^a from h' = a h f'/f
         g = self.deriv_jet() / self
+        rows = _pascal(self.order)
         h = [cmath.exp(a * cmath.log(self.d[0]))]
         for k in range(1, self.order + 1):
+            row = rows[k - 1]
             acc = 0.0
             for j in range(k):
-                acc += comb(k - 1, j) * (a * g.d[k - 1 - j]) * h[j]
+                acc += row[j] * (a * g.d[k - 1 - j]) * h[j]
             h.append(acc)
-        return Jet(h)
+        return _jet(tuple(h))
 
     def __pow__(self, a):
         return self.pow(a)
@@ -177,25 +200,22 @@ class Jet:
         return self.pow(0.5)
 
     def truncate(self, order: int) -> "Jet":
-        return Jet(self.d[: order + 1])
+        return _jet(self.d[: order + 1])
 
     def __repr__(self):
         return f"Jet({self.d!r})"
 
 
+def _jet(d: tuple) -> Jet:
+    """The Jet of d, whose scalars already share one arithmetic: the results
+    of Jet arithmetic skip the coercion of Jet.__init__."""
+    jet = object.__new__(Jet)
+    jet.d = d
+    return jet
+
+
 # ---------------------------------------------------------------------------
 # Base jets from the series
-
-
-# The jet caches hold the keys of one tau: every caller (cli.cmd_verify, the
-# Fuchsian checks, the quintic solver) finishes its work at a tau before it
-# moves on, and no later tau reuses an earlier one's keys.  A Fuchsian tau
-# needs at most 7 _quad_jets keys and a direct quintic 12; a quintic that
-# continues along a path needs more, but uses each key within a few steps.
-# With 64 entries the hits and misses equal those of a 4096-entry cache on
-# every verify suite and benchmark workload, and memory stays flat however
-# many tau go by.
-JET_CACHE_SIZE = 64
 
 
 def _with_one(tail) -> Jet:
@@ -221,15 +241,24 @@ def _eta_jet(sigma, order: int):
     ar = th.arithmetic(check_tau(sigma))
     w = ar.eta_w_scale() * _with_one(th.e2_series(sigma, order))
     ip = 1j / ar.pi
-    vals = [th.eta(sigma)]
-    for m in range(order):
-        vals.append((ip * (Jet(vals) * w.truncate(m))).d[m])
-    return Jet(vals), w
+    rows = _pascal(order)
+    b = w.d
+    a = [th.eta(sigma)]
+    for m in range(order):   # eta^(m+1) = ip (eta eta_w)^(m), as __mul__ sums
+        row = rows[m]
+        acc = a[0] * b[m]
+        for j in range(1, m + 1):
+            c = row[j]
+            acc += c * a[j] * b[m - j] if c > 1 else a[j] * b[m - j]
+        a.append(ip * acc)
+    return Jet(a), w
 
 
 def _rescale(jet: Jet, c: float) -> Jet:
     """Chain rule for sigma = c*tau + d: d^k/dtau^k = c^k d^k/dsigma^k."""
-    return Jet([jet.d[k] * c ** k for k in range(jet.order + 1)])
+    if c == 1.0:
+        return jet
+    return _jet(tuple(jet.d[k] * c ** k for k in range(jet.order + 1)))
 
 
 @dataclass(frozen=True)
@@ -262,6 +291,7 @@ class ThetaJet:
                              self.t4.value, self.eta.value, self.etaw.value)
 
 
+@lru_cache(maxsize=JET_CACHE_SIZE)
 def theta_jet(tau, scale=(1, 0), order: int = 1) -> ThetaJet:
     """Jets of theta2..4, eta, eta_w at c*tau+d, derivatives taken in tau.
 

@@ -39,6 +39,22 @@ from .numerics import TOL, NumericsError, check_tau
 _MAX_TERMS = 64           # theta-type sums, exponents quadratic in k
 _MAX_LINEAR_TERMS = 512   # sums with exponents linear in n
 
+# The caches kept per tau hold the keys of one tau: every caller
+# (cli.cmd_verify, the Fuchsian and integral checks, the quintic solver)
+# finishes its work at a tau before it moves on, and no later tau reuses an
+# earlier one's keys.  They are theta_series here, keyed (tau, order);
+# jets.theta_jet, keyed (tau, scale, order); jets._quad_jets and
+# jets._eta_jet, keyed (sigma, order); and abelian._cover_alpha, keyed
+# (tau, sign).  A Fuchsian tau needs at most 7 _quad_jets keys and a direct
+# quintic 12; a quintic that continues along a path needs more, but uses each
+# key within a few steps, and an inversion of chi sums the series once at each
+# of its 24 candidates.  With 64 entries the hits and misses equal those of a
+# 4096-entry cache on every verify suite and benchmark workload, and memory
+# stays flat however many tau go by.  The order stays in every key: passes of
+# different orders stop at different terms, so even their values may differ
+# in the last bit.
+JET_CACHE_SIZE = 64
+
 
 class SeriesTruncationError(NumericsError):
     """Raised when a q-series still moves at the term cap (Im tau too small)."""
@@ -75,6 +91,7 @@ def _sum_capped(terms, what: str, eps: float, cap: int = _MAX_TERMS):
     return total
 
 
+@lru_cache(maxsize=JET_CACHE_SIZE)
 def theta_series(tau, order: int = 0):
     """theta2, theta3 - 1 and theta4 - 1 with their tau-derivatives to order.
 

@@ -295,6 +295,45 @@ def test_powers_bit_identical_to_pair_forms():
             assert _bits(x ** n) == _bits(xp ** n)
 
 
+def _unit_start_pow(x, n: int):
+    """CDD.__pow__ as it was before it dropped the unit factor and the last
+    squaring, kept verbatim."""
+    if n < 0:
+        return 1.0 / _unit_start_pow(x, -n)
+    out = CDD((1.0, 0.0))
+    base = x
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
+def _unsigned(bits):
+    """Hex parts with -0.0 read as 0.0."""
+    return tuple("0x0.0p+0" if b == "-0x0.0p+0" else b for b in bits)
+
+
+def test_powers_bit_identical_to_unit_start():
+    rng = random.Random(22)
+    for _ in range(300):
+        x = _operand(rng)[0]
+        for n in range(-3, 13):
+            assert _bits(x ** n) == _bits(_unit_start_pow(x, n)), (x, n)
+    # The unit factor turned a -0.0 part of a factor into +0.0; without it
+    # the part keeps its sign.  Every other bit agrees.
+    signs = (0.0, -0.0)
+    for parts in [(a, b, c, d) for a in (1.5, 0.0) for b in signs
+                  for c in signs for d in signs]:
+        x = CDD(parts[:2], parts[2:])
+        for n in range(-3, 13):
+            if n < 0 and not x:
+                continue
+            assert (_unsigned(_bits(x ** n))
+                    == _unsigned(_bits(_unit_start_pow(x, n)))), (parts, n)
+
+
 def test_exp_bit_identical_to_pair_form():
     rng = random.Random(21)
     for _ in range(300):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 from thetafuchs import jets
@@ -119,10 +120,11 @@ def test_double_double_jets_match_complex():
 
 
 def _keys_left_by(work):
-    jets._quad_jets.cache_clear()
-    jets._eta_jet.cache_clear()
+    caches = (jets.theta_jet, jets._quad_jets, jets._eta_jet)
+    for cache in caches:
+        cache.cache_clear()
     work()
-    return jets._quad_jets.cache_info().currsize
+    return max(cache.cache_info().currsize for cache in caches)
 
 
 def test_jet_caches_hold_one_tau(monkeypatch):
@@ -171,3 +173,187 @@ def test_product_matches_the_full_leibniz_sum():
             for g in factors:
                 assert ([bits(z) for z in (f * g).d]
                         == [bits(z) for z in _leibniz_reference(f, g)])
+
+
+# ---------------------------------------------------------------------------
+# The kernels as they were before the binomial tables, the unit-free powers
+# and the one-sum eta recurrence, kept verbatim: the new ones must give the
+# same bits.
+
+def _mul_reference(self, other):
+    if not isinstance(other, Jet):
+        return Jet([other * a for a in self.d])
+    a, b = self.d, other.d
+    out = []
+    for k in range(min(len(a), len(b))):   # Leibniz; a binomial 1 is left out
+        acc = a[0] * b[k]
+        for j in range(1, k + 1):
+            c = math.comb(k, j)
+            acc += c * a[j] * b[k - j] if c > 1 else a[j] * b[k - j]
+        out.append(acc)
+    return Jet(out)
+
+
+def _truediv_reference(self, other):
+    o = self._coerce(other, self.order)
+    n = min(self.order, o.order)
+    h = [self.d[0] / o.d[0]]
+    for k in range(1, n + 1):
+        acc = self.d[k]
+        for j in range(k):
+            acc -= math.comb(k, j) * h[j] * o.d[k - j]
+        h.append(acc / o.d[0])
+    return Jet(h)
+
+
+def _pow_reference(self, a):
+    out = Jet.const(1.0, self.order)
+    base = self
+    k = a
+    while k:
+        if k & 1:
+            out = _mul_reference(out, base)
+        base = _mul_reference(base, base)
+        k >>= 1
+    return out
+
+
+def _eta_jet_reference(sigma, order):
+    ar = th.arithmetic(sigma)
+    w = _mul_reference(jets._with_one(th.e2_series(sigma, order)),
+                       ar.eta_w_scale())
+    ip = 1j / ar.pi
+    vals = [th.eta(sigma)]
+    for m in range(order):
+        vals.append(_mul_reference(
+            _mul_reference(Jet(vals), Jet(w.d[:m + 1])), ip).d[m])
+    return Jet(vals), w
+
+
+def _hex(jet, signed_zeros=True):
+    """Every float of a jet as hex; -0.0 reads as 0.0 unless signed_zeros."""
+    parts = []
+    for z in jet.d:
+        floats = ((z.rh, z.rl, z.ih, z.il) if isinstance(z, CDD)
+                  else (z.real, z.imag))
+        parts.append(tuple(v.hex() if v or signed_zeros else "0"
+                           for v in floats))
+    return parts
+
+
+def _seeded_jets(rng, order, dd):
+    def scalar():
+        z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        if not dd:
+            return z
+        # a product, so the low parts are not zero
+        return CDD.from_complex(z) * CDD.from_complex(
+            complex(rng.uniform(0.5, 2), rng.uniform(-1, 1)))
+
+    return [Jet([scalar() for _ in range(order + 1)]) for _ in range(3)]
+
+
+def _assert_kernels_match(f, g, signed_zeros=True):
+    def same(new, ref):
+        assert _hex(new, signed_zeros) == _hex(ref, signed_zeros)
+
+    same(f * g, _mul_reference(f, g))
+    same(f / g, _truediv_reference(f, g))
+    for n in range(13):
+        same(f.pow(n), _pow_reference(f, n))
+
+
+def test_kernels_bit_identical_to_references_on_seeded_jets():
+    rng = random.Random(20)
+    for dd in (False, True):
+        for order in range(7):
+            for _ in range(4):
+                f, g, h = _seeded_jets(rng, order, dd)
+                _assert_kernels_match(f, g)
+                _assert_kernels_match(g, h.truncate(max(order - 1, 0)))
+
+
+def test_kernels_at_signed_zero_real_part():
+    # At tau = +-0.0 + i the theta jets have exactly zero parts.  Products
+    # and quotients keep every bit.  The unit factor of the old powers turned
+    # a -0.0 part into +0.0 (and the old rescaling by 1.0 did the same for
+    # complex jets), so complex powers agree up to the sign of a zero part;
+    # double-double ones keep every bit.
+    for re in (0.0, -0.0):
+        for dd in (False, True):
+            tau = CDD((re, 0.0), (1.0, 0.0)) if dd else complex(re, 1.0)
+            for order in range(7):
+                tj = theta_jet(tau, (1 + order % 2, 0), order)
+                constants = (tj.t2, tj.t3, tj.t4, tj.eta, tj.etaw)
+                for f, g in zip(constants, constants[1:]):
+                    assert _hex(f * g) == _hex(_mul_reference(f, g))
+                    assert _hex(f / g) == _hex(_truediv_reference(f, g))
+                    for n in range(13):
+                        assert (_hex(f.pow(n), signed_zeros=dd)
+                                == _hex(_pow_reference(f, n),
+                                        signed_zeros=dd)), (re, order, n)
+
+
+def test_eta_recurrence_bit_identical_to_jet_products():
+    sigmas = [1j, complex(-0.0, 1.0), 0.5 + 0.8j]
+    sigmas += list(tau_grid(6, seed=23, im_range=(0.4, 2.5)))
+    for sigma in sigmas:
+        for dd in (False, True):
+            s = CDD.from_complex(sigma) if dd else sigma
+            for order in range(7):
+                eta, etaw = jets._eta_jet.__wrapped__(s, order)
+                ref_eta, ref_etaw = _eta_jet_reference(s, order)
+                assert _hex(eta) == _hex(ref_eta), (sigma, dd, order)
+                assert _hex(etaw) == _hex(ref_etaw), (sigma, dd, order)
+
+
+def _fresh(work):
+    for cache in (th.theta_series, jets.theta_jet, jets._quad_jets,
+                  jets._eta_jet):
+        cache.cache_clear()
+    return work()
+
+
+def test_signed_zero_keys_share_cache_entries_safely():
+    # The caches treat -0.0 + i and 0.0 + i as one key, so an answer at
+    # either one may come from the other's entry: they must agree bit for bit.
+    def answers(tau):
+        def work():
+            out = [_hex(Jet(th.theta_series(tau, order)))
+                   for order in range(7)]
+            for order in range(7):
+                for scale in ((1, 0), (2, 0), (Fraction(1, 2), 0),
+                              (1, Fraction(1, 2))):
+                    tj = theta_jet(tau, scale, order)
+                    out += [_hex(getattr(tj, name)) for name in
+                            ("t2", "t3", "t4", "eta", "etaw")]
+            return out
+        return work
+
+    for dd in (False, True):
+        plus, minus = ((CDD((re, 0.0), (1.0, 0.0)) if dd else complex(re, 1.0))
+                       for re in (0.0, -0.0))
+        fresh = _fresh(answers(minus))
+        assert _fresh(answers(plus)) == fresh
+        assert answers(minus)() == fresh    # from the entries of +0.0 + i
+
+
+def test_caches_kept_per_tau_stay_bounded():
+    # Each cache holds one tau's keys, so peak memory stays flat however
+    # many tau go by.
+    from thetafuchs import abelian as ab
+    from thetafuchs import cli
+
+    caches = (th.theta_series, jets.theta_jet, jets._quad_jets,
+              jets._eta_jet, ab._cover_alpha)
+    assert jets.JET_CACHE_SIZE is th.JET_CACHE_SIZE
+    for cache in caches:
+        assert cache.cache_info().maxsize == jets.JET_CACHE_SIZE == 64
+    for tau in tau_grid(300, seed=29, im_range=(0.4, 2.5)):
+        cli._fuchsian_rows(tau)
+    for tau in tau_grid(300, seed=31, im_range=(0.5, 1.8)):
+        cli._integral_rows(tau)
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.misses > info.maxsize      # many tau went by
+        assert info.currsize <= 64, cache

@@ -139,6 +139,41 @@ def test_traced_names_resolve(monkeypatch):
         assert cache.cache_info().maxsize == JET_CACHE_SIZE
 
 
+def test_tracer_counts_through_the_jet_caches(monkeypatch):
+    # The traced run reads the jet caches, the wrapped Jet methods and the
+    # theta_jet calls; a cache or method that moved would leave its metric
+    # silently at zero.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    items = importlib.import_module("items")
+    from thetafuchs import jets
+
+    theta_jet = jets.theta_jet
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert jets.theta_jet is not theta_jet       # wrapped
+        tracer.item_span(0, "fuchsian", items.run_item, "fuchsian",
+                         0.3 + 1.1j)
+        tracer.item_span(1, "integrals", items.run_item, "integrals",
+                         -0.2 + 0.9j)
+    finally:
+        tracer.uninstall()
+    assert jets.theta_jet is theta_jet
+    for module, names in tracing.ENTRY_POINTS.values():
+        for name in names:
+            assert callable(getattr(module, name)), (module.__name__, name)
+    for cache in tracing.JET_CACHES:
+        assert cache.cache_info().maxsize == JET_CACHE_SIZE
+    for name in tracing.JET_METHODS:
+        assert name in vars(jets.Jet), name
+    assert tracer.counts["jets.theta_jet_calls"] > 0
+    assert tracer.jet_keys
+    metrics = tracing.layer_metrics(tracer, 2, tracing.cache_counts())
+    assert metrics["jets.theta_jet_calls"] > 0
+    assert metrics["jets.self_ms"] > 0 and metrics["theta_eta.calls"] > 0
+
+
 def test_tolerance_table_agrees_with_the_benchmark(monkeypatch):
     # The benchmark keeps its own copy of the tolerances, so a loosened CLI
     # tolerance is caught there; the two copies must agree.

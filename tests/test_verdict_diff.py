@@ -65,3 +65,28 @@ def test_changed_rows_names_moved_answers():
                                 "k_prime": {"re": 6e-44, "im": 0.0}}})
     assert vd.changed_rows(old.encode(), new.encode()) == [
         'extra.k_prime: {"re": 2e-44, "im": 0.0} -> {"re": 6e-44, "im": 0.0}']
+
+
+def test_items_of_the_same_tree_are_identical(capsys):
+    # one round of each workload, through perfbench's own run_item
+    assert vd.compare_items(vd.ROOT, rounds=1) == 0
+    out = capsys.readouterr().out
+    assert "140 benchmark items (1 rounds of each workload" in out
+    assert "0 differ, 140 identical" in out
+
+
+def test_items_name_the_first_differing_item(monkeypatch, capsys):
+    lines = ["fuchsian-sweep 0 fuchsian 1j {'a': 1e-12}",
+             "fuchsian-sweep 0 fuchsian 2j {'a': 2e-12}",
+             "fuchsian-sweep 1 fuchsian 3j {'a': 3e-12}",
+             "point-queries 0 eta 1j [(1+0j)]"]
+    moved = lines[:1] + [line.replace("e-12", "e-11") for line in lines[1:3]]
+    moved.append(lines[3])
+    monkeypatch.setattr(vd, "run_items", lambda tree, rounds: (
+        0, lines if tree == vd.ROOT else moved))
+    assert vd.compare_items(Path("base"), rounds=2) == 2
+    out = capsys.readouterr().out
+    assert out.count("DIFF") == 1
+    assert ("DIFF fuchsian-sweep: first differing item\n"
+            f"  {moved[1]}\n  -> {lines[1]}") in out
+    assert "4 benchmark items" in out and "2 differ, 2 identical" in out

@@ -2,6 +2,7 @@
 revision.
 
     python3 tools/verdict_diff.py REV [--jobs N]
+    python3 tools/verdict_diff.py REV --items [ROUNDS]
 
 Exports REV's files with `git archive` into a temporary directory, then runs
 `thetafuchs verify SUITE --seed S --samples N` for every suite, seeds 1-7
@@ -13,6 +14,14 @@ the path.  The two stdouts of every run are compared byte for byte.  Each
 run that differs is printed with its changed rows and report fields, and the
 exit status is 1 if any differs, else 0 (2 if REV cannot be exported).  The
 copy is removed on exit.  Standard library only, and no network.
+
+With --items, it runs the benchmark's own items instead: `items.run_item`
+from each tree's perfbench/ on ROUNDS rounds (default 10) of every workload
+at seed ITEMS_SEED, one fresh interpreter per tree.  The CLI runs a suite
+over all of its tau at once, the benchmark one tau at a time, so this mode
+checks the path that the benchmark times, the double-double refinement of
+single tau included.  The repr of every answer (or of its NumericsError) is
+compared, and the first differing item of each workload is printed.
 """
 
 from __future__ import annotations
@@ -41,6 +50,24 @@ QUINTIC_AS = ("0.01,0", "0.3,0.2", "-0.2,0.35", "0.1,-0.1", "0.4,0",
 EVAL_TAUS = ("0.3,1.1", "-0.45,0.6", "1.7,0.2", "0.5,2", "0.1,0.05",
              "0.0021836,0.0152496")
 ROOT = Path(__file__).resolve().parent.parent
+ITEMS_SEED = 11
+# Run in a fresh interpreter with a tree's src/ and perfbench/ on the path:
+# one line per item, "workload round kind arg answer" with reprs.
+ITEMS_SCRIPT = """
+import sys
+import items, workloads
+from thetafuchs.numerics import NumericsError
+rounds, seed = int(sys.argv[1]), int(sys.argv[2])
+for workload in workloads.WORKLOADS:
+    inputs = workloads.Inputs(workload, seed)
+    for index in range(rounds):
+        for kind, arg in inputs.round(index):
+            try:
+                answer = items.run_item(kind, arg)
+            except NumericsError as exc:
+                answer = exc
+            print(workload, index, kind, repr(arg), repr(answer))
+"""
 
 
 def verify_cases() -> list:
@@ -62,6 +89,44 @@ def run_cli(tree: Path, argv: tuple):
     proc = subprocess.run([sys.executable, "-m", "thetafuchs.cli", *argv],
                           cwd=tree, env=env, capture_output=True)
     return proc.returncode, proc.stdout
+
+
+def run_items(tree: Path, rounds: int):
+    """(exit status, stdout lines) of the benchmark items run from tree."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        (str(tree / "src"), str(tree / "perfbench"))))
+    proc = subprocess.run([sys.executable, "-c", ITEMS_SCRIPT, str(rounds),
+                           str(ITEMS_SEED)],
+                          cwd=tree, env=env, capture_output=True, text=True)
+    if proc.returncode:
+        print(proc.stderr.strip(), file=sys.stderr)
+    return proc.returncode, proc.stdout.splitlines()
+
+
+def compare_items(base: Path, rounds: int) -> int:
+    """Run the benchmark items in base and in this tree; print the first
+    differing item of each workload; count the differing items."""
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        runs = [pool.submit(run_items, tree, rounds) for tree in (base, ROOT)]
+        (old_status, old), (new_status, new) = (r.result() for r in runs)
+    if old_status or new_status or len(old) != len(new):
+        print(f"item runs: exit {old_status} -> {new_status}, "
+              f"{len(old)} -> {len(new)} items")
+        return 1
+    differing, named = 0, set()
+    for before, after in zip(old, new):
+        if before == after:
+            continue
+        differing += 1
+        workload = before.split(" ", 1)[0]
+        if workload not in named:
+            named.add(workload)
+            print(f"DIFF {workload}: first differing item\n  {before}\n"
+                  f"  -> {after}")
+    print(f"{len(old)} benchmark items ({rounds} rounds of each workload, "
+          f"seed {ITEMS_SEED}) per tree: {differing} differ, "
+          f"{len(old) - differing} identical")
+    return differing
 
 
 def _document(stdout: bytes):
@@ -157,9 +222,16 @@ def main(argv=None) -> int:
     parser.add_argument("rev", help="git revision to compare against")
     parser.add_argument("--jobs", type=int, default=2,
                         help="thetafuchs runs at a time (default 2)")
+    parser.add_argument("--items", type=int, nargs="?", const=10,
+                        metavar="ROUNDS",
+                        help="compare the answers of the benchmark's items "
+                             "over ROUNDS rounds of each workload (default "
+                             "10) instead of the CLI runs")
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
+    if args.items is not None and args.items < 1:
+        parser.error("--items must be at least 1")
     commit = subprocess.run(
         ["git", "rev-parse", "--verify", "--short", f"{args.rev}^{{commit}}"],
         cwd=ROOT, capture_output=True, text=True)
@@ -172,7 +244,10 @@ def main(argv=None) -> int:
             return 2             # git or tar has said why
         print(f"base {args.rev} ({commit.stdout.strip()}) against the "
               "working tree")
-        differing = compare(base, args.jobs)
+        if args.items is None:
+            differing = compare(base, args.jobs)
+        else:
+            differing = compare_items(base, args.items)
     return 1 if differing else 0
 
 
