@@ -111,17 +111,12 @@ def alpha_pm(tau: complex):
 
 
 def _alpha_aligned(tau: complex, sign: int, base: complex) -> complex:
-    """alpha at tau on the branch continuous with the base value."""
+    """alpha at tau on the branch continuous with the base value: the
+    lattice translate of +-alpha nearest to it."""
     par = cover_params(sign)
     raw = el.wp_inverse(wp_argument(tau, sign), par)
-    best = None
-    for flip in (1.0, -1.0):
-        for m in (-1, 0, 1):
-            for n in (-1, 0, 1):
-                cand = flip * raw + m * par.period1 + n * par.period2
-                if best is None or abs(cand - base) < abs(best - base):
-                    best = cand
-    return best
+    return base + min((el.lattice_cell(flip * raw - base, par)[0]
+                       for flip in (1.0, -1.0)), key=abs)
 
 
 def alpha_slope(tau: complex, sign: int) -> complex:

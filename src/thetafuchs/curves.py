@@ -354,19 +354,16 @@ def burnside_wp_forms(tau: complex) -> dict:
     """
     tau = check_tau(tau)
     par = el.WeierstrassParams.from_half_periods(2.0, 2.0 * tau)
+    # wp and wp' once at each point
+    points = (1.0, 2.0, tau, 2.0 * tau, tau / 2.0, tau + 2.0, 0.5,
+              2.0 * tau + 1.0)
+    values = [el.wp(z, par) for z in points]
+    p1, p2, pt, p2t, ph, pt2, pq, p2t1 = (v[0] for v in values)
+    dpt, dpq = values[2][1], values[6][1]
 
-    def p(z):
-        return el.wp(z, par)[0]
-
-    def dp(z):
-        return el.wp(z, par)[1]
-
-    chi_wp = (p(1.0) - p(2.0)) / (p(tau) - p(2.0))
-    num = (4j * (p(tau) - p(2.0 * tau)) * (p(tau / 2.0) - p(tau))
-           * (p(tau / 2.0) - p(tau + 2.0)) * (p(0.5) - p(2.0 * tau + 1.0))
-           * (p(0.5) - p(1.0)))
-    den = ((p(tau / 2.0) - p(1.0)) * (p(tau / 2.0) - p(2.0 * tau + 1.0))
-           * dp(0.5) * dp(tau))
+    chi_wp = (p1 - p2) / (pt - p2)
+    num = 4j * (pt - p2t) * (ph - pt) * (ph - pt2) * (pq - p2t1) * (pq - p1)
+    den = (ph - p1) * (ph - p2t1) * dpq * dpt
     phi_wp = num / den
 
     chi_t = chi_burnside(tau)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from . import theta_eta as th
+from .modgroup import reduce_fundamental
 from .numerics import NumericsError, check_tau, poly_roots
 
 def agm(a: complex, b: complex) -> complex:
@@ -131,8 +132,6 @@ def klein_j(tau: complex) -> complex:
     its product form pi^12 eta^24 rather than as g2^3 - 27 g3^2: high in the
     domain the subtraction would cancel to the size of J itself.
     """
-    from .modgroup import reduce_fundamental
-
     tau0, _ = reduce_fundamental(tau)
     g2 = math.pi ** 4 / 12.0 * eisenstein_e4(tau0)
     disc = math.pi ** 12 * th.eta(tau0) ** 24
@@ -144,16 +143,21 @@ def klein_j(tau: complex) -> complex:
 
 
 def carlson_rf(x: complex, y: complex, z: complex) -> complex:
-    """Carlson's R_F by the duplication algorithm, complex arguments."""
+    """Carlson's R_F by the duplication algorithm, complex arguments.
+
+    The duplication stops once x, y and z are within 1e-3 |mu| of their
+    mean mu; the fifth-order series below then leaves out terms of about
+    (1e-3)^6 (Carlson, Numer. Algorithms 10 (1995)).
+    """
     x, y, z = complex(x), complex(y), complex(z)
     if sum(1 for v in (x, y, z) if v == 0) > 1:
         raise NumericsError("R_F needs at most one zero argument")
     for _ in range(200):
-        lam = (cmath.sqrt(x) * cmath.sqrt(y) + cmath.sqrt(y) * cmath.sqrt(z)
-               + cmath.sqrt(z) * cmath.sqrt(x))
+        sx, sy, sz = cmath.sqrt(x), cmath.sqrt(y), cmath.sqrt(z)
+        lam = sx * sy + sy * sz + sz * sx
         x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
         mu = (x + y + z) / 3.0
-        if abs(mu) > 0 and max(abs(x - mu), abs(y - mu), abs(z - mu)) < 1e-10 * abs(mu):
+        if abs(mu) > 0 and max(abs(x - mu), abs(y - mu), abs(z - mu)) < 1e-3 * abs(mu):
             break
     mu = (x + y + z) / 3.0
     dx, dy, dz = (mu - x) / mu, (mu - y) / mu, (mu - z) / mu
@@ -171,10 +175,9 @@ def carlson_rf(x: complex, y: complex, z: complex) -> complex:
 class WeierstrassParams:
     """Invariants plus a compatible period lattice basis (full periods).
 
-    The constants of the lattice that wp and wp_inverse need on every call
-    (Laurent coefficients, branch points, shortest period, zeta at the half
-    periods) are cached properties: each is computed once per instance and
-    kept outside the fields, so hashing and equality are unchanged.
+    The lattice constants that wp and wp_inverse need on every call are
+    cached properties: each is computed once per instance and kept outside
+    the fields, so hashing and equality are unchanged.
     """
 
     g2: complex
@@ -187,55 +190,42 @@ class WeierstrassParams:
         return self.period2 / self.period1
 
     @cached_property
-    def laurent(self) -> tuple:
-        """c_m with wp(z) = 1/z^2 + sum_{m>=2} c_m z^(2m-2) (A&S 18.5.3)."""
-        c = [0.0, 0.0, self.g2 / 20.0, self.g3 / 28.0]
-        for m in range(4, 24):
-            s = sum(c[j] * c[m - j] for j in range(2, m - 1))
-            c.append(3.0 * s / ((2 * m + 1) * (m - 3)))
-        return tuple(c)
+    def reduced(self) -> tuple:
+        """(omega, tau): half the first period and the period ratio, in the
+        standard fundamental domain, of the basis that from_periods sums on."""
+        return _reduced_basis(self.period1, self.period2)
 
     @cached_property
-    def branch_points(self) -> tuple:
-        """Roots e1, e2, e3 of 4 t^3 - g2 t - g3."""
-        return tuple(poly_roots([4.0, 0.0, -self.g2, -self.g3]))
-
-    @cached_property
-    def shortest(self) -> float:
-        """Length of the shortest nonzero period (among |m|, |n| <= 2)."""
-        p1, p2 = self.period1, self.period2
-        return min(abs(m * p1 + n * p2) for m in range(-2, 3)
-                   for n in range(-2, 3) if (m, n) != (0, 0))
+    def nome(self) -> tuple:
+        """theta1's coefficients at the reduced period ratio."""
+        return th.theta1_nome(self.reduced[1])
 
     @cached_property
     def eta_pair(self) -> tuple:
-        """zeta at both half-periods, via the ladder (no quasi-periods needed)."""
-        return tuple(_wp_ladder(half, self)[2]
-                     for half in (self.period1 / 2.0, self.period2 / 2.0))
+        """zeta at the reduced half periods omega and omega tau: DLMF 23.6(i)
+        for eta1, then Legendre's eta1 omega tau - eta2 omega = i pi/2."""
+        omega, tau = self.reduced
+        _, t1, _, t3 = th.theta1_pass(0.0, self.nome)
+        eta1 = -math.pi ** 2 * t3 / (12.0 * omega * t1)
+        return eta1, (eta1 * omega * tau - 0.5j * math.pi) / omega
+
+    @cached_property
+    def branch_points(self) -> tuple:
+        """Roots e1, e2, e3 of 4 t^3 - g2 t - g3: one Newton step takes each
+        from poly_roots' stop, up to about 1e-12 away, to round-off."""
+        g2, g3 = self.g2, self.g3
+        return tuple(e - (4.0 * e ** 3 - g2 * e - g3) / (12.0 * e * e - g2)
+                     for e in poly_roots([4.0, 0.0, -g2, -g3]))
 
     @staticmethod
     def from_periods(period1: complex, period2: complex) -> "WeierstrassParams":
-        """Invariants from full periods via Eisenstein series.
-
-        The period ratio is reduced into the standard fundamental domain
-        first (the lattice is unchanged under the basis change, the half
-        period picks up the cocycle factor), so skew bases do not degrade
-        the series.
-        """
-        from .modgroup import reduce_fundamental
-
-        w = period1 / 2.0
-        tau = period2 / period1
-        if tau.imag < 0:
+        """Invariants from full periods via Eisenstein series, summed at the
+        reduced period ratio so that skew bases do not degrade them."""
+        if (period2 / period1).imag < 0:
             period2 = -period2
-            tau = -tau
-        if tau.imag == 0:
-            raise NumericsError("degenerate period lattice")
-        tau0, m = reduce_fundamental(tau)
-        w_eff = w * (m.c * tau + m.d)
-        g2 = math.pi ** 4 / 12.0 * eisenstein_e4(tau0)
-        g3 = math.pi ** 6 / 216.0 * eisenstein_e6(tau0)
-        return WeierstrassParams(g2 / w_eff ** 4, g3 / w_eff ** 6,
+        omega, tau0 = _reduced_basis(period1, period2)
+        g2, g3, _ = eisenstein(tau0)
+        return WeierstrassParams(g2 / omega ** 4, g3 / omega ** 6,
                                  period1, period2)
 
     @staticmethod
@@ -263,11 +253,8 @@ class WeierstrassParams:
         tau = 1j * ellip_K(cmath.sqrt(1.0 - lam)) / ellip_K(cmath.sqrt(lam))
         if tau.imag <= 0:
             tau = -tau.conjugate()
-        from .modgroup import reduce_fundamental
-
         tau, _ = reduce_fundamental(tau)
-        g2t = math.pi ** 4 / 12.0 * eisenstein_e4(tau)
-        g3t = math.pi ** 6 / 216.0 * eisenstein_e6(tau)
+        g2t, g3t, _ = eisenstein(tau)
         # w^4 = g2(tau)/g2, w^6 = g3(tau)/g3, hence w^2 is their ratio
         if abs(g3) > 1e-12 * abs(g2) ** 1.5 and abs(g3t) > 1e-14:
             w = cmath.sqrt((g3t * g2) / (g3 * g2t))
@@ -284,79 +271,54 @@ class WeierstrassParams:
         return params
 
 
-def _lattice_reduce(z: complex, p1: complex, p2: complex):
-    """z - (m p1 + n p2) of minimal modulus; returns (z0, m, n)."""
-    det = p1.real * p2.imag - p1.imag * p2.real
-    if det == 0:
-        raise NumericsError("degenerate lattice")
-    m0 = (z.real * p2.imag - z.imag * p2.real) / det
-    n0 = (p1.real * z.imag - p1.imag * z.real) / det
-    best = None
-    for dm in (-1, 0, 1):
-        for dn in (-1, 0, 1):
-            m = round(m0) + dm
-            n = round(n0) + dn
-            cand = z - m * p1 - n * p2
-            if best is None or abs(cand) < abs(best[0]):
-                best = (cand, m, n)
-    return best
+def _reduced_basis(period1: complex, period2: complex) -> tuple:
+    """(omega, tau0): the period ratio moved into the standard fundamental
+    domain, and half the first period times the cocycle factor c tau + d."""
+    tau = period2 / period1
+    if tau.imag < 0:
+        tau = -tau
+    if tau.imag == 0:
+        raise NumericsError("degenerate period lattice")
+    tau0, m = reduce_fundamental(tau)
+    return period1 / 2.0 * (m.c * tau + m.d), tau0
 
 
-def _wp_series(z: complex, c) -> tuple:
-    """Laurent values (wp, wp', zeta) near 0 from the coefficients c_m;
-    |z| must be well inside the cell."""
-    z2 = z * z
-    p = 1.0 / z2
-    dp = -2.0 / (z2 * z)
-    zeta = 1.0 / z
-    zpow = z2
-    for m in range(2, len(c)):
-        term = c[m] * zpow  # c_m z^{2m-2}
-        p += term
-        dp += (2 * m - 2) * c[m] * zpow / z
-        zeta -= c[m] * zpow * z / (2 * m - 1)
-        zpow *= z2
-    return p, dp, zeta
-
-
-def _wp_duplicate(p, dp, zt, g2):
-    ppp = 6.0 * p * p - 0.5 * g2
-    if dp == 0:
-        raise NumericsError("duplication through a half-period")
-    p2 = 0.25 * (ppp / dp) ** 2 - 2.0 * p
-    dp2 = 0.5 * (ppp * (12.0 * p * dp * dp - ppp * ppp) / (2.0 * dp ** 3) - 2.0 * dp)
-    zt2 = 2.0 * zt + 0.5 * ppp / dp
-    return p2, dp2, zt2
-
-
-def _wp_ladder(z: complex, params: WeierstrassParams) -> tuple:
-    """(wp, wp', zeta) at z near 0: halve into the Laurent ball, evaluate
-    the series there, then climb back with the duplication formulas."""
-    k = 0
-    while abs(z) > 0.35 * params.shortest:
-        z /= 2.0
-        k += 1
-    p, dp, zt = _wp_series(z, params.laurent)
-    for _ in range(k):
-        p, dp, zt = _wp_duplicate(p, dp, zt, params.g2)
-    return p, dp, zt
+def lattice_cell(z: complex, params: WeierstrassParams) -> tuple:
+    """(z0, w, m, n) with z = 2 omega (w + m + n tau) on the reduced basis,
+    w in its centered cell |Re w| <= 1/2, |Im w| <= Im tau / 2, and
+    z0 = 2 omega w; on a rectangular lattice z0 is z's translate nearest 0."""
+    omega, tau = params.reduced
+    w = complex(z) / (2.0 * omega)
+    n = round(w.imag / tau.imag)
+    w -= n * tau
+    m = round(w.real)
+    w -= m
+    return 2.0 * omega * w, w, m, n
 
 
 def wp(z: complex, params: WeierstrassParams):
-    """(wp, wp', zeta) at z.
+    """(wp, wp', zeta) at z from one theta1 pass (DLMF 23.6(i)).
 
-    Lattice reduction plus halving into the Laurent ball, then the duplication
-    formulas back up; zeta picks up the quasi-period increments.
+    z moves into the centered cell of the reduced basis (omega, tau), and
+    zeta takes the quasi-periods of the move.  With v = pi z / (2 omega),
+    s = pi / (2 omega) and -eta1 / omega = s^2 theta1'''(0) / (3 theta1'(0)),
+
+        wp   = -s^2 (log theta1)''(v) - eta1 / omega,
+        wp'  = -s^3 (log theta1)'''(v),
+        zeta = eta1 z / omega + s theta1'(v) / theta1(v).
     """
-    z = complex(z)
-    z0, m, n = _lattice_reduce(z, params.period1, params.period2)
-    if abs(z0) < 1e-12 * params.shortest:
+    _, w, m, n = lattice_cell(z, params)
+    if abs(w) < 1e-12:
         raise NumericsError(f"z={z} is a lattice point")
-    p, dp, zt = _wp_ladder(z0, params)
-    if m or n:
-        eta1, eta2 = params.eta_pair
-        zt += 2.0 * m * eta1 + 2.0 * n * eta2
-    return p, dp, zt
+    t0, t1, t2, t3 = th.theta1_pass(math.pi * w, params.nome)
+    r1, r2 = t1 / t0, t2 / t0
+    omega = params.reduced[0]
+    s = math.pi / (2.0 * omega)
+    eta1, eta2 = params.eta_pair
+    p = s * s * (r1 * r1 - r2) - eta1 / omega
+    dp = -s * s * s * (t3 / t0 - 3.0 * r1 * r2 + 2.0 * r1 * r1 * r1)
+    zeta = 2.0 * (w + m) * eta1 + s * r1 + 2.0 * n * eta2
+    return p, dp, zeta
 
 
 def wp_branch_points(params: WeierstrassParams) -> tuple:
@@ -405,7 +367,7 @@ def _wp_inverse_checked(w: complex, params: WeierstrassParams,
                 break
             last = (alpha, abs(err))
             alpha = alpha - err / dp
-    z0, _, _ = _lattice_reduce(alpha, params.period1, params.period2)
+    z0 = lattice_cell(alpha, params)[0]
     if z0.real < 0 or (z0.real == 0 and z0.imag < 0):
         z0 = -z0
     p, dp, _ = wp(z0, params)

@@ -18,7 +18,8 @@ the analytic value pi^2/12.
 
 theta_series and e2_series also return the tau-derivatives of their sums to
 a requested order, differentiated term by term in the same pass; these are
-the base jets of the jets module.
+the base jets of the jets module.  theta1_pass returns theta1(v|tau) with
+its first three v-derivatives, from which elliptic.wp takes wp, wp' and zeta.
 
 Every series here is generic over the scalar type of tau: a complex tau is
 summed in doubles, a ddnum.CDD tau in double-double.  arithmetic(tau) picks
@@ -151,6 +152,49 @@ def theta_series(tau, order: int = 0):
         out += (front * (w * 0.25 ** (m + 1)) * d2[m], c * (even[m] + odd[m]),
                 c * (even[m] - odd[m]))
     return out
+
+
+def theta1_nome(tau) -> tuple:
+    """c_n = (-1)^n q^{(n+1/2)^2}, so theta1(v|tau) = 2 sum c_n sin((2n+1)v).
+
+    The powers grow by multiplication, c_n = -c_{n-1} q^{2n}.  The list is
+    long enough for the strip |Im v| <= pi Im tau / 2: there the n-th term
+    weighted for the third derivative is at most |q|^{n^2} (2n+1)^3 times the
+    leading one, and the list stops where that falls below the threshold.
+    """
+    tau = check_tau(tau)
+    exp, pi, eps, _ = arithmetic(tau)
+    q2 = exp(2j * pi * tau)
+    size = abs(q2) ** 0.5
+    out, step = [exp(0.25j * pi * tau)], q2
+    while size ** (len(out) ** 2) * (2 * len(out) + 1) ** 3 >= eps:
+        if len(out) == _MAX_TERMS:
+            raise SeriesTruncationError(
+                f"theta1: series needs more than {_MAX_TERMS} terms")
+        out.append(-out[-1] * step)
+        step = step * q2
+    return tuple(out)
+
+
+def theta1_pass(v, nome):
+    """theta1 and its first three v-derivatives at v, from theta1_nome(tau).
+
+    With d_n and t_n the difference and the sum of c_n e^{+-i(2n+1)v}, whose
+    powers grow by multiplication, theta1 = -i sum d_n, theta1' = sum (2n+1)
+    t_n, theta1'' = i sum (2n+1)^2 d_n and theta1''' = -sum (2n+1)^3 t_n.
+    """
+    e = arithmetic(v).exp(1j * v)
+    f = 1.0 / e
+    e2, f2 = e * e, f * f
+    s0 = s1 = s2 = s3 = 0.0j
+    for k, c in enumerate(nome):
+        w = 2 * k + 1
+        a, b = c * e, c * f
+        d, t = a - b, a + b
+        s0, s1 = s0 + d, s1 + w * t
+        s2, s3 = s2 + w * w * d, s3 + w * w * w * t
+        e, f = e * e2, f * f2
+    return -1j * s0, s1, 1j * s2, -s3
 
 
 def theta2(tau):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -99,6 +100,17 @@ def test_carlson_rf_vs_mpmath():
     for x, y, z in cases:
         ref = complex(mp.elliprf(x, y, z))
         assert abs(el.carlson_rf(x, y, z) - ref) < 1e-12
+    # the arguments w - e_i of wp_inverse on both cover lattices
+    from thetafuchs import abelian as ab
+
+    rng = random.Random(2)
+    for sign in (+1, -1):
+        e1, e2, e3 = el.wp_branch_points(ab.cover_params(sign))
+        for _ in range(100):
+            w = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            x, y, z = w - e1, w - e2, w - e3
+            ref = complex(mp.elliprf(x, y, z))
+            assert abs(el.carlson_rf(x, y, z) - ref) <= 2e-15 * abs(ref)
 
 
 def test_wp_laurent_leading():
@@ -194,13 +206,16 @@ def _close(got, want, rtol=1e-14):
 
 
 def test_cached_lattice_constants_keep_the_values():
-    # values computed before the constants were cached, on the +1 cover
+    # values computed before the constants were cached, on the +1 cover;
+    # eta2, e1, zeta(2.9 - 1.7j) and the wp_inverse alpha are mpmath's at 40
+    # digits, which the earlier values missed by 2.0e-14, 2.4e-13, 4.1e-14
+    # and 4.8e-14
     par = _fresh_cover_params()
     assert _close(par.eta_pair,
                   ((1.6584220707434465e-16 + 0.5473062856450119j),
-                   (0.27475364422472603 - 4.638303663959449e-16j)))
+                   (0.2747536442247463 - 2.916051869272202e-16j)))
     assert _close(el.wp_branch_points(par),
-                  ((-0.7357022603957548 - 2.8490879437895994e-14j),
+                  ((-0.7357022603955159 + 0j),
                    (0.26429773960448405 - 1.6155871338926322e-27j),
                    (0.47140452079103173 + 0j)))
     assert _close(el.wp(0.37 + 0.81j, par),
@@ -211,9 +226,9 @@ def test_cached_lattice_constants_keep_the_values():
     assert _close(el.wp(2.9 - 1.7j, par),
                   ((0.13365369864230642 + 0.08403278090364497j),
                    (-0.4068153338328553 + 0.1529133400889644j),
-                   (0.09566183109542814 + 0.5722584501483221j)))
+                   (0.09566183109546865 + 0.572258450148322j)))
     assert _close([el.wp_inverse(0.3 + 0.4j, par)],
-                  [1.1277178017740022 - 0.7356703395891785j])
+                  [1.1277178017740304 - 0.7356703395892366j])
 
 
 def test_period_invariant_round_trip():
@@ -305,3 +320,68 @@ def test_wp_inverse_polish_stops_at_round_off(monkeypatch):
         cli._integral_rows(tau)
     assert len(evaluations) == 200 * 6
     assert max(evaluations) - 2 <= 2
+
+
+def _wp_reference(z, par):
+    """(wp, wp', zeta) at z from mpmath's theta1 on the basis as given."""
+    p1, p2, z = mp.mpc(par.period1), mp.mpc(par.period2), mp.mpc(z)
+    q = mp.expjpi(p2 / p1)
+    s = mp.pi / p1
+    eta1 = -s ** 2 * p1 * mp.jtheta(1, 0, q, 3) / (6 * mp.jtheta(1, 0, q, 1))
+    t0, t1, t2, t3 = (mp.jtheta(1, s * z, q, d) for d in range(4))
+    r1, r2 = t1 / t0, t2 / t0
+    return (s ** 2 * (r1 * r1 - r2) - 2 * eta1 / p1,
+            -s ** 3 * (t3 / t0 - 3 * r1 * r2 + 2 * r1 ** 3),
+            2 * eta1 * z / p1 + s * r1)
+
+
+@pytest.mark.parametrize("par", [
+    el.WeierstrassParams.from_invariants(5 / 3, -COVER_G3),
+    el.WeierstrassParams.from_invariants(5 / 3, COVER_G3),
+    el.WeierstrassParams.from_half_periods(1, 0.25 + 1.2j),
+    el.WeierstrassParams.from_periods(1, 3.1 + 0.2j),      # reduced to 4i
+], ids=["cover+", "cover-", "skew", "reduced"])
+def test_wp_against_mpmath_theta1(par):
+    # z is spread over 5 x 5 cells, so zeta takes its quasi-period
+    # increments.  Each value is held to 1e-14 relative to itself or to the
+    # lattice's own size s^k, s = pi / period1 in the reduced basis, plus
+    # what rounding z by one unit costs: |z| 2^-52 |f'(z)|, with
+    # f' = wp', wp'' = 6 wp^2 - g2/2 and zeta' = -wp.
+    mp.mp.dps = 40
+    rng = random.Random(21)
+    size = abs(math.pi / (2 * par.reduced[0]))
+    for _ in range(60):
+        z = (rng.uniform(-2.5, 2.5) * par.period1
+             + rng.uniform(-2.5, 2.5) * par.period2)
+        want = [complex(v) for v in _wp_reference(z, par)]
+        slope = (want[1], 6 * want[0] ** 2 - par.g2 / 2, -want[0])
+        for k, (g, w, d) in enumerate(zip(el.wp(z, par), want, slope)):
+            bound = (1e-14 * max(abs(w), size ** (2, 3, 1)[k])
+                     + abs(z) * 2.0 ** -52 * abs(d))
+            assert abs(g - w) <= bound, (k, z, g, w)
+
+
+@pytest.mark.parametrize("half", [(1.0, 0.25 + 1.2j), (1.0, 1.55 + 0.1j),
+                                  (0.7 - 0.3j, -0.2 + 1.1j)])
+def test_legendre_relation(half):
+    par = el.WeierstrassParams.from_half_periods(*half)
+    omega, tau = par.reduced
+    eta1, eta2 = par.eta_pair
+    assert abs(eta1 * omega * tau - eta2 * omega - 0.5j * math.pi) < 1e-14
+    # eta_pair is zeta at the reduced half periods
+    assert abs(el.wp(omega * tau, par)[2] - eta2) < 1e-14 * abs(eta2)
+
+
+def test_theta1_pass_in_double_double():
+    from thetafuchs.ddnum import CDD
+
+    mp.mp.dps = 40
+    tau, v = 0.1 + 1.3j, 0.4 + 0.35j
+    got = th.theta1_pass(CDD.from_complex(v),
+                         th.theta1_nome(CDD.from_complex(tau)))
+    q = mp.expjpi(mp.mpc(tau.real, tau.imag))
+    for d, g in enumerate(got):
+        want = mp.jtheta(1, mp.mpc(v.real, v.imag), q, d)
+        exact = mp.mpc(g.rh, g.ih) + mp.mpc(g.rl, g.il)
+        # cdd_exp's squarings cost about two of the 32 digits
+        assert abs(exact - want) < 1e-29 * abs(want)

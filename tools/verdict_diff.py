@@ -5,8 +5,9 @@ revision.
     python3 tools/verdict_diff.py REV --items [ROUNDS]
 
 Exports REV's files with `git archive` into a temporary directory, then runs
-`thetafuchs verify SUITE --seed S --samples N` for every suite, seeds 1-7
-and 20, and 20 and 200 samples, and a fixed set of point commands
+`thetafuchs verify SUITE --seed S --samples N` for every suite, seeds 1-7,
+11 and 20, and 20 and 200 samples (108 runs), and a fixed set of point
+commands
 (`exact-values`, `invert --value A`, `quintic --a A`, `eval theta|k --tau T`),
 once from that copy and once from this working tree (uncommitted edits
 included), each run in a fresh interpreter with only that tree's `src/` on
@@ -37,7 +38,7 @@ from pathlib import Path
 
 SUITES = ("identities", "curves", "fuchsian", "modular-odes", "integrals",
           "metrics")
-SEEDS = (1, 2, 3, 4, 5, 6, 7, 20)
+SEEDS = (1, 2, 3, 4, 5, 6, 7, 11, 20)
 SAMPLES = (20, 200)
 # Point commands, each one answer that no verify suite prints: the inversion
 # of chi (two values near branch values, where its rows fail), the quintic,
