@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import elliptic as el
@@ -140,12 +140,7 @@ def alpha_slope_fd(tau: complex, sign: int, h: float = 1e-4) -> complex:
     return (plus - minus) / (2.0 * h)
 
 
-@dataclass(frozen=True)
-class CoverPoint:
-    tau: complex
-    x: complex
-    alpha_plus: complex
-    alpha_minus: complex
+CoverPoint = namedtuple("CoverPoint", "tau x alpha_plus alpha_minus")
 
 
 def cover_point(tau: complex) -> CoverPoint:
@@ -301,11 +296,7 @@ def mero_identity_check(tau: complex) -> dict:
 # Poincare metrics
 
 
-@dataclass(frozen=True)
-class MetricSample:
-    coordinate: complex
-    density: float
-    u: float
+MetricSample = namedtuple("MetricSample", "coordinate density u")
 
 
 def metric_density(model: str, psi1: complex, psi2: complex,

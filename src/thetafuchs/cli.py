@@ -17,18 +17,10 @@ import math
 import os
 import sys
 import time
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
-from . import abelian as ab
-from . import curves as cv
-from . import elliptic as el
-from . import fuchsian as fu
-from . import inversion as iv
-from . import theta_eta as th
-from .modgroup import INFINITY, disc_map
+from . import _START
 from .numerics import NumericsError, max_residual, tau_grid
-from .polygons import (_disc_arc, _halfplane_arc, build_polygon,
-                       default_polygon, double_polygon, genus_of)
 from .report import RunReport
 
 # Gamma(1/4)^2/(4 sqrt(pi)) = K(1/sqrt2) = 2^(1/4) (pi/2) theta4^2(2i)
@@ -90,68 +82,102 @@ def tolerance(command: str, row: str, override: float | None = None) -> float:
     return table[row] if row in table else table["*"]
 
 
-def _curve_rows(tau) -> dict:
-    rows = {}
-    for spec in cv.registry():
-        res = cv.curve_residual(spec.id, [tau])
-        rows[spec.id] = None if res["skipped"] else res["max_residual"]
-    rows["j_bridge_octahedral"] = cv.j_bridge_residual(tau)
+# A suite's rows() imports the modules of its sweep when the sweep starts, so
+# a patched module is seen, and returns the function of one tau:
+# {row: residual, or None for a skipped sample}.
+def _identity_rows():
+    from . import theta_eta as th
+    return th.identity_residuals
+
+
+def _curve_rows():
+    from . import curves as cv
+    specs = cv.registry()
+
+    def rows(tau):
+        out = {}
+        for spec in specs:
+            res = cv.curve_residual(spec.id, [tau])
+            out[spec.id] = None if res["skipped"] else res["max_residual"]
+        out["j_bridge_octahedral"] = cv.j_bridge_residual(tau)
+        return out
     return rows
 
 
-def _fuchsian_rows(tau) -> dict:
-    rows = {}
-    for qid in fu.CATALOGUE_IDS:
-        res = fu.verify_fuchsian(qid, [tau])
-        rows[qid] = None if res["skipped"] else res["max_residual"]
-    cov = fu.change_of_var_check([tau])
-    for name in ("z_x4_law", "z_x4_is_legendre", "mobius", "pair_lemma"):
-        rows[f"change_of_var.{name}"] = None if cov["skipped"] else cov[name]
+def _fuchsian_rows():
+    from . import fuchsian as fu
+
+    def rows(tau):
+        out = {}
+        for qid in fu.CATALOGUE_IDS:
+            res = fu.verify_fuchsian(qid, [tau])
+            out[qid] = None if res["skipped"] else res["max_residual"]
+        cov = fu.change_of_var_check([tau])
+        for name in ("z_x4_law", "z_x4_is_legendre", "mobius", "pair_lemma"):
+            out[f"change_of_var.{name}"] = None if cov["skipped"] else cov[name]
+        return out
     return rows
 
 
-def _integral_rows(tau) -> dict:
-    rows = {}
-    for part in (ab.cover_relation_residuals(tau),
-                 ab.holo_differential_check(tau), ab.mero_identity_check(tau)):
-        rows.update((name, value) for name, value in part.items()
-                    if "sign" not in name and "sheet" not in name)
+def _modular_ode_rows():
+    from . import fuchsian as fu
+    return fu.modular_ode_residuals
+
+
+def _integral_rows():
+    from . import abelian as ab
+
+    def rows(tau):
+        out = {}
+        for part in (ab.cover_relation_residuals(tau),
+                     ab.holo_differential_check(tau),
+                     ab.mero_identity_check(tau)):
+            out.update((name, value) for name, value in part.items()
+                       if "sign" not in name and "sheet" not in name)
+        return out
     return rows
 
 
-def _metric_rows(tau) -> dict:
-    x = fu.x_burnside(tau, 1).d[0]
-    bm = ab.burnside_surface_metric(cmath.sqrt(x ** 5 - x))
-    tm = ab.torus_metric_check(tau)
-    return {"liouville_relative": ab.liouville_residual(x),
-            "surface_vs_pullback": bm["fractional_mismatch"],
-            "densities_positive": 0.0 if bm["density"] > 0 else 1.0,
-            "torus_display_vs_pullback": tm["relative_mismatch"],
-            "torus_display_x2_recovery": tm["x2_recovery"]}
+def _metric_rows():
+    from . import abelian as ab
+    from . import fuchsian as fu
+
+    def rows(tau):
+        x = fu.x_burnside(tau, 1).d[0]
+        bm = ab.burnside_surface_metric(cmath.sqrt(x ** 5 - x))
+        tm = ab.torus_metric_check(tau)
+        return {"liouville_relative": ab.liouville_residual(x),
+                "surface_vs_pullback": bm["fractional_mismatch"],
+                "densities_positive": 0.0 if bm["density"] > 0 else 1.0,
+                "torus_display_vs_pullback": tm["relative_mismatch"],
+                "torus_display_x2_recovery": tm["x2_recovery"]}
+    return rows
 
 
-class Suite(NamedTuple):
-    im_range: tuple
-    rows: Callable       # tau -> {row: residual, or None for a skipped sample}
-    skip_reason: str = ""
-    sort_rows: bool = False  # else rows keep the order of the first sample
-    extra: Callable = lambda args: {}
+def _curve_extra(args) -> dict:
+    from . import curves as cv
+    return {"registry": cv.serialize_registry()} if args.emit else {}
 
 
-# Suite functions are looked up at call time, so a patched module is seen.
-SUITES = {
-    "identities": Suite((0.3, 3.0), lambda t: th.identity_residuals(t),
-                        sort_rows=True),
-    "curves": Suite((0.4, 2.5), _curve_rows, "puncture-adjacent",
-                    extra=lambda args: ({"registry": cv.serialize_registry()}
-                                        if args.emit else {})),
-    "fuchsian": Suite((0.4, 2.5), _fuchsian_rows, "critical"),
-    "modular-odes": Suite((0.4, 2.5), lambda t: fu.modular_ode_residuals(t),
-                          sort_rows=True),
-    "integrals": Suite((0.5, 1.8), _integral_rows, sort_rows=True),
-    "metrics": Suite((0.5, 1.4), _metric_rows, extra=lambda args: {"densities": [
+def _metric_extra(args) -> dict:
+    from . import abelian as ab
+    return {"densities": [
         {"x": [x.real, x.imag], "density": ab.burnside_x_density(x).density}
-        for x in (0.4 + 0.3j, -0.2 + 0.45j, 0.1 - 0.55j)]}),
+        for x in (0.4 + 0.3j, -0.2 + 0.45j, 0.1 - 0.55j)]}
+
+
+# rows as above; sort_rows, else rows keep the order of the first sample;
+# extra: args -> fields for the report's "extra".
+Suite = namedtuple("Suite", "im_range rows skip_reason sort_rows extra",
+                   defaults=("", False, lambda args: {}))
+SUITES = {
+    "identities": Suite((0.3, 3.0), _identity_rows, sort_rows=True),
+    "curves": Suite((0.4, 2.5), _curve_rows, "puncture-adjacent",
+                    extra=_curve_extra),
+    "fuchsian": Suite((0.4, 2.5), _fuchsian_rows, "critical"),
+    "modular-odes": Suite((0.4, 2.5), _modular_ode_rows, sort_rows=True),
+    "integrals": Suite((0.5, 1.8), _integral_rows, sort_rows=True),
+    "metrics": Suite((0.5, 1.4), _metric_rows, extra=_metric_extra),
 }
 # Rows that report their best sample, with their note: the torus display is
 # the known defect, and its best sample shows how near it comes to the truth.
@@ -166,11 +192,11 @@ def cmd_verify(args) -> RunReport:
     if args.tol is not None:
         params["tol"] = args.tol
     rep = RunReport(f"verify {args.suite}", params)
-    samples = {}
+    samples, rows = {}, suite.rows()
     # tau in the outer loop: every row at one tau shares its cached jets,
     # which at large sample counts would be evicted between rows
     for tau in tau_grid(args.samples, seed=args.seed, im_range=suite.im_range):
-        for name, value in suite.rows(tau).items():
+        for name, value in rows(tau).items():
             samples.setdefault(name, []).append(value)
     for name in sorted(samples) if suite.sort_rows else samples:
         checked = [v for v in samples[name] if v is not None]
@@ -189,6 +215,9 @@ def cmd_verify(args) -> RunReport:
 
 
 def cmd_exact_values(args) -> RunReport:
+    from . import elliptic as el
+    from . import inversion as iv
+    from . import theta_eta as th
     rep = RunReport("exact-values", {})
 
     def add(name, residual, note=""):
@@ -209,6 +238,7 @@ def cmd_exact_values(args) -> RunReport:
 
 
 def cmd_invert(args) -> RunReport:
+    from . import inversion as iv
     rep = RunReport("invert", {"value": [args.value.real, args.value.imag]})
     res = iv.invert_chi(args.value)
     if isinstance(res, iv.BranchPointResult):
@@ -224,19 +254,23 @@ def cmd_invert(args) -> RunReport:
 
 
 def cmd_quintic(args) -> RunReport:
+    from .inversion import quintic_solve
     rep = RunReport("quintic", {"a": [args.a.real, args.a.imag]})
-    sol = iv.quintic_solve(args.a)
+    sol = quintic_solve(args.a)
     for name, residual in (("max_poly_residual", max_residual(sol.poly_residuals)),
                            ("max_theta_residual", max_residual(sol.theta_residuals)),
                            ("vieta", sol.vieta_residual)):
         rep.add(name, residual, tolerance("quintic", name))
     rep.extra["roots"] = list(sol.roots)
-    rep.extra["taus"] = [t if isinstance(t, str) else t for t in sol.taus]
+    rep.extra["taus"] = list(sol.taus)
     rep.extra["newton_iterations"] = sol.newton_iterations
     return rep
 
 
 def cmd_polygon(args) -> RunReport:
+    from .modgroup import INFINITY
+    from .polygons import (build_polygon, default_polygon, double_polygon,
+                           genus_of)
     rep = RunReport("polygon", {"genus": args.genus})
     if args.omega:
         omega = [INFINITY if v == "oo" else float(v) for v in args.omega]
@@ -255,6 +289,8 @@ def cmd_polygon(args) -> RunReport:
 
 def emit_polygon(poly) -> dict:
     """Structured arcs in both models plus pairings and vertex cycles."""
+    from .modgroup import INFINITY, disc_map
+    from .polygons import _disc_arc, _halfplane_arc
     sides = []
     for i in range(poly.n_sides):
         a, b = poly.side(i)
@@ -284,7 +320,8 @@ def cmd_discriminant(args) -> RunReport:
     for key, value in data["coeffs"].items():
         i, j = (int(p) for p in key.split(","))
         poly[(i, j)] = value
-    disc = cv.discriminant_y(poly)
+    from .curves import discriminant_y
+    disc = discriminant_y(poly)
     rep.extra["discriminant"] = disc
     rep.add("computed", 0.0, 1.0)
     return rep
@@ -293,6 +330,7 @@ def cmd_discriminant(args) -> RunReport:
 def cmd_eval(args) -> RunReport:
     rep = RunReport(f"eval {args.function}", {"tau": [args.tau.real, args.tau.imag]})
     tau = args.tau
+    from . import theta_eta as th
     if args.function == "theta":
         frame = th.theta(tau)
         rep.extra["theta2"] = frame.t2
@@ -302,9 +340,11 @@ def cmd_eval(args) -> RunReport:
         rep.extra["eta"] = th.eta(tau)
         rep.extra["eta_w"] = th.eta_w(tau)
     elif args.function == "j":
-        rep.extra["j"] = el.klein_j(tau)
+        from .elliptic import klein_j
+        rep.extra["j"] = klein_j(tau)
     elif args.function == "k":
-        k, kp = el.legendre_moduli(tau)
+        from .elliptic import legendre_moduli
+        k, kp = legendre_moduli(tau)
         rep.extra["k"] = k
         rep.extra["k_prime"] = kp
     rep.add("evaluated", 0.0, 1.0)
@@ -375,6 +415,7 @@ def main(argv=None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     print(report.render(args.format))
+    print(f"start-up: {start - _START:.3f}s", file=sys.stderr)
     print(f"wall time: {time.monotonic() - start:.3f}s", file=sys.stderr)
     return report.exit_status
 

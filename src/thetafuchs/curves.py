@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 from . import elliptic as el
 from . import theta_eta as th
@@ -69,14 +68,13 @@ _Y = {(0, 1): 1}
 _ONE = {(0, 0): 1}
 
 
-@dataclass(frozen=True)
-class CurveSpec:
-    id: str
-    poly: dict          # exact integer coefficients
-    params: object      # tau -> (x, y)
-    genus: int
-    notes: str = ""
-    j_invariant: Fraction | None = None  # stored when the curve is elliptic
+class CurveSpec(namedtuple("CurveSpec",
+                           "id poly params genus notes j_invariant",
+                           defaults=("", None))):
+    """poly: exact integer coefficients {(i, j): c}; params: tau -> (x, y);
+    j_invariant: a Fraction, stored when the curve is elliptic."""
+
+    __slots__ = ()
 
     def residual(self, tau: complex) -> float:
         x, y = self.params(tau)
@@ -246,6 +244,7 @@ def registry():
     """All curves with explicit theta parametrizations, exact coefficients."""
     global _REGISTRY
     if _REGISTRY is None:
+        from fractions import Fraction
         _REGISTRY = (
             CurveSpec("burnside", _poly_hyper({5: 1, 1: -1}), _p_burnside, 2,
                       "y^2 = x^5 - x, x = theta4/theta3 at tau"),
@@ -438,6 +437,7 @@ def kl3_normal_form_check(tau: complex) -> dict:
     line = abs(p * (1.0 - t * t) - (2.0 * t + 1.0))
     big_k = k * (t - 1.0) ** 2 * (t + 1.0) / (2.0 * t + 1.0)
     cubic = max(abs(big_k ** 2 + 2.0 * t ** 3 + t * t - 2.0 * t - 1.0), line)
+    from fractions import Fraction
     g2, g3 = Fraction(13, 12), Fraction(-35, 216)
     j_exact = g2 ** 3 / (g2 ** 3 - 27 * g3 ** 2)
     return {"conic": conic, "cubic": cubic, "j_exact": j_exact}
@@ -447,18 +447,20 @@ def kl3_normal_form_check(tau: complex) -> dict:
 # Exact discriminants (resultant route)
 
 
-def _poly1_eval(coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
+# The exact helpers below take Fractions: their integer 0 and 1 start values
+# turn into Fractions at the first operation.
+def _poly1_eval(coeffs, x):
+    acc = 0
     for c in coeffs:
         acc = acc * x + c
     return acc
 
 
-def _det_fraction(mat) -> Fraction:
+def _det_fraction(mat):
     """Exact determinant by fraction Gaussian elimination."""
     n = len(mat)
     m = [row[:] for row in mat]
-    det = Fraction(1)
+    det = 1
     for col in range(n):
         pivot = None
         for r in range(col, n):
@@ -466,12 +468,12 @@ def _det_fraction(mat) -> Fraction:
                 pivot = r
                 break
         if pivot is None:
-            return Fraction(0)
+            return 0
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
             det = -det
         det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
+        inv = 1 / m[col][col]
         for r in range(col + 1, n):
             if m[r][col]:
                 factor = m[r][col] * inv
@@ -479,13 +481,13 @@ def _det_fraction(mat) -> Fraction:
     return det
 
 
-def _resultant_at(fp, gp, x: Fraction) -> Fraction:
+def _resultant_at(fp, gp, x):
     """Resultant in y of two polynomials with coefficients evaluated at x."""
     fv = [_poly1_eval(c, x) for c in fp]
     gv = [_poly1_eval(c, x) for c in gp]
     n, m = len(fv) - 1, len(gv) - 1
     size = n + m
-    mat = [[Fraction(0)] * size for _ in range(size)]
+    mat = [[0] * size for _ in range(size)]
     for r in range(m):
         for i, c in enumerate(fv):
             mat[r][r + i] = c
@@ -503,6 +505,7 @@ def discriminant_y(poly: dict):
     positive, computed through the Sylvester resultant of (F, dF/dy) by exact
     interpolation.
     """
+    from fractions import Fraction
     degy = max(j for (_, j) in poly)
     degx = max(i for (i, _) in poly)
     if degy < 1:
@@ -547,11 +550,11 @@ def _lagrange_exact(xs, vals):
     for level in range(1, n):
         for i in range(n - 1, level - 1, -1):
             divided[i] = (divided[i] - divided[i - 1]) / (xs[i] - xs[i - level])
-    coeffs = [Fraction(0)] * n
+    coeffs = [0] * n
     coeffs[-1] = divided[n - 1]
     for i in range(n - 2, -1, -1):
         # multiply by (x - xs[i]) and add divided[i]
-        new = [Fraction(0)] * n
+        new = [0] * n
         for k in range(n - 1):
             new[k] += coeffs[k + 1]
             new[k + 1] -= coeffs[k + 1] * xs[i]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 
 from . import theta_eta as th
@@ -171,19 +171,16 @@ def carlson_rf(x: complex, y: complex, z: complex) -> complex:
 # Weierstrass functions
 
 
-@dataclass(frozen=True)
-class WeierstrassParams:
-    """Invariants plus a compatible period lattice basis (full periods).
+class WeierstrassParams(namedtuple("WeierstrassParams",
+                                   "g2 g3 period1 period2")):
+    """Invariants g2, g3 plus a compatible period lattice basis: the full
+    periods period1 = 2 omega and period2 = 2 omega'.
 
     The lattice constants that wp and wp_inverse need on every call are
-    cached properties: each is computed once per instance and kept outside
-    the fields, so hashing and equality are unchanged.
+    cached properties: each is computed once per instance and kept in the
+    instance's __dict__, outside the fields, so hashing and equality are
+    those of the four fields.
     """
-
-    g2: complex
-    g3: complex
-    period1: complex  # 2*omega
-    period2: complex  # 2*omega'
 
     @property
     def tau(self) -> complex:

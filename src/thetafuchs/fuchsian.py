@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import elliptic as el
 from . import theta_eta as th
@@ -28,15 +28,8 @@ _CRITICAL_XTAU = 1e-6
 _REFINE_ABOVE = 1e-10
 
 
-@dataclass(frozen=True)
-class SchwarzianSample:
-    tau: complex
-    x: complex
-    x_tau: complex
-    x_tautau: complex
-    x_tautautau: complex
-    schwarzian: complex
-    mero: complex
+SchwarzianSample = namedtuple(
+    "SchwarzianSample", "tau x x_tau x_tautau x_tautautau schwarzian mero")
 
 
 def brackets_from_jet(j: Jet):
@@ -67,8 +60,7 @@ def x_burnside(tau, order=3) -> Jet:
 
 def chi_half(tau, order=3) -> Jet:
     """chi(tau) = -theta4(tau/2)/theta3(tau/2), the conformal-map normalization."""
-    from fractions import Fraction
-    j = theta_jet(tau, (Fraction(1, 2), 0), order)
+    j = theta_jet(tau, (0.5, 0), order)
     return -(j.t4 / j.t3)
 
 
@@ -103,8 +95,7 @@ def lambda_mixed(tau, order=3) -> Jet:
 
 def j_invariant(tau, order=3) -> Jet:
     """Klein's J as a jet, through the octahedral form in x(tau/2)."""
-    from fractions import Fraction
-    j = theta_jet(tau, (Fraction(1, 2), 0), order)
+    j = theta_jet(tau, (0.5, 0), order)
     x = j.t4 / j.t3
     x4 = x.pow(4)
     num = (x4.pow(2) + 14.0 * x4 + 1.0).pow(3)
@@ -123,15 +114,11 @@ def psi1_tau(tau, order=3) -> Jet:
 # Q catalogue
 
 
-@dataclass(frozen=True)
-class QFunction:
-    id: str
-    evaluator: object  # x -> Q(x)
-    singular_points: tuple
-    accessory_zero: bool
-    uniformizer: object = None  # (tau, order) -> Jet, when known
-    residual: object = None     # (tau, jet) -> float, stable override
-    notes: str = ""
+# evaluator: x -> Q(x); uniformizer: (tau, order) -> Jet, when known;
+# residual: (tau, jet) -> float, a stable override.
+QFunction = namedtuple("QFunction", "id evaluator singular_points "
+                       "accessory_zero uniformizer residual notes",
+                       defaults=(None, None, ""))
 
 
 def q_burnside(x: complex) -> complex:

@@ -17,33 +17,22 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import elliptic as el
 from . import theta_eta as th
 from .curves import chi_burnside, octahedral_j, x_quotient
 from .jets import theta_jet
-from .modgroup import ProjMatrix, coset_reps, gamma4_reduce, mobius
+from .modgroup import coset_reps, gamma4_reduce, mobius
 from .numerics import (TOL, NumericsError, check_tau, fd_jet, max_residual,
                        newton_solve, poly_roots)
 
 
-@dataclass(frozen=True)
-class BranchPointResult:
-    """Marker for inversion at a branch value of the curve."""
-
-    value: complex
-    tau_class: str
-
-
-@dataclass(frozen=True)
-class InversionResult:
-    tau0: complex
-    orbit: tuple
-    residual: float
-    matrix: ProjMatrix
-    j_residual: float
+# Marker for inversion at a branch value of the curve.
+BranchPointResult = namedtuple("BranchPointResult", "value tau_class")
+InversionResult = namedtuple("InversionResult",
+                             "tau0 orbit residual matrix j_residual")
 
 
 def _is_branch_point(a: complex) -> bool:
@@ -141,8 +130,7 @@ def series_at_i() -> dict:
         "j_coeff2": abs(d2 / 2.0 + 12.0 * g2 / math.pi ** 2),
         "j_coeff3": abs(d3 / 6.0 + 12j * g2 / math.pi ** 2),
     }
-    from fractions import Fraction
-    jet = theta_jet(1j, (Fraction(1, 2), 0), 1)
+    jet = theta_jet(1j, (0.5, 0), 1)
     chi1 = -(jet.t4 / jet.t3).d[1]
     out["chi_slope_sq"] = abs(chi1 ** 2 - (4.0 * SQRT2 - 6.0) * g2 / math.pi ** 2)
     return out
@@ -152,15 +140,11 @@ def series_at_i() -> dict:
 # Quintic
 
 
-@dataclass(frozen=True)
-class QuinticSolution:
-    a: complex
-    roots: tuple
-    taus: tuple          # half-plane points, or 'oo' markers at a = 0
-    poly_residuals: tuple
-    theta_residuals: tuple  # |rhs(tau_1) - a|, then |x(sigma) - root| per root
-    vieta_residual: float
-    newton_iterations: int
+# taus: half-plane points, or 'oo' markers at a = 0; theta_residuals:
+# |rhs(tau_1) - a|, then |x(sigma) - root| per root.
+QuinticSolution = namedtuple(
+    "QuinticSolution", "a roots taus poly_residuals theta_residuals "
+    "vieta_residual newton_iterations")
 
 
 def modular_quintic_rhs(tau: complex) -> complex:

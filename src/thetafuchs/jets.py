@@ -24,8 +24,7 @@ fuchsian.modular_ode_residuals and in the tests up to order 6.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 from math import comb
 
@@ -177,7 +176,7 @@ class Jet:
                     out = out * base
                 a >>= 1
             return out
-        if isinstance(a, Fraction):
+        if not isinstance(a, (int, float, complex)):  # a Fraction
             a = a.numerator / a.denominator
         if not self.d[0]:
             raise NumericsError("jet power of zero value")
@@ -261,21 +260,21 @@ def _rescale(jet: Jet, c: float) -> Jet:
     return _jet(tuple(jet.d[k] * c ** k for k in range(jet.order + 1)))
 
 
-@dataclass(frozen=True)
-class ThetaJet:
+class ThetaJet(namedtuple("ThetaJet", "tau scale order t2 t3 t4")):
     """Jets (in tau) of the constants evaluated at the argument c*tau + d.
 
     The eta and eta_w jets are built on first use: the uniformizers of the
-    Fuchsian catalogue need only the theta triple.
+    Fuchsian catalogue need only the theta triple.  sigma = c*tau + d is
+    kept beside the fields, out of the comparison and the repr.
     """
 
-    tau: object
-    scale: tuple
-    order: int
-    t2: Jet
-    t3: Jet
-    t4: Jet
-    sigma: object = field(repr=False, compare=False)
+    def __new__(cls, tau, scale, order, t2, t3, t4, sigma):
+        self = super().__new__(cls, tau, scale, order, t2, t3, t4)
+        self.sigma = sigma
+        return self
+
+    def __getnewargs__(self):  # copy and pickle pass sigma back
+        return (*self, self.sigma)
 
     @property
     def eta(self) -> Jet:
@@ -303,8 +302,7 @@ def theta_jet(tau, scale=(1, 0), order: int = 1) -> ThetaJet:
     if order < 0 or order > 6:
         raise NumericsError("theta_jet order out of range")
     c, d = scale
-    cf = float(Fraction(c)) if not isinstance(c, (int, float)) else float(c)
-    df = float(Fraction(d)) if not isinstance(d, (int, float)) else float(d)
+    cf, df = float(c), float(d)
     if cf <= 0:
         raise NumericsError(f"scale {cf} takes tau out of the half-plane")
     sigma = cf * tau + df

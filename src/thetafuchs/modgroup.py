@@ -9,7 +9,7 @@ action on points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .numerics import NumericsError, check_tau
@@ -17,23 +17,16 @@ from .numerics import NumericsError, check_tau
 INFINITY = "oo"  # cusp marker for Mobius images of poles
 
 
-@dataclass(frozen=True, order=True)
-class ProjMatrix:
-    a: int
-    b: int
-    c: int
-    d: int
+class ProjMatrix(namedtuple("ProjMatrix", "a b c d")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
-            raise ValueError(f"determinant must be 1: {self}")
+    def __new__(cls, a: int, b: int, c: int, d: int):
+        if a * d - b * c != 1:
+            raise ValueError(f"determinant must be 1: [[{a},{b}],[{c},{d}]]")
         # canonical sign: first nonzero of (a, c) positive
-        lead = self.a if self.a != 0 else self.c
-        if lead < 0:
-            object.__setattr__(self, "a", -self.a)
-            object.__setattr__(self, "b", -self.b)
-            object.__setattr__(self, "c", -self.c)
-            object.__setattr__(self, "d", -self.d)
+        if (a if a != 0 else c) < 0:
+            a, b, c, d = -a, -b, -c, -d
+        return super().__new__(cls, a, b, c, d)
 
     def __matmul__(self, other: "ProjMatrix") -> "ProjMatrix":
         return ProjMatrix(self.a * other.a + self.b * other.c,
@@ -48,7 +41,7 @@ class ProjMatrix:
         return self.a + self.d
 
     def entries(self):
-        return (self.a, self.b, self.c, self.d)
+        return tuple(self)
 
     def __repr__(self):
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"

@@ -9,24 +9,24 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .ddnum import CDD
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
+class ToleranceConfig(namedtuple(
+        "ToleranceConfig", "identity_tol derivative_tol root_tol series_eps",
+        defaults=(1e-10, 1e-6, 1e-9, 1e-16))):
     """Default tolerances used across the verification suites."""
 
-    identity_tol: float = 1e-10
-    derivative_tol: float = 1e-6
-    root_tol: float = 1e-9
-    series_eps: float = 1e-16
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("identity_tol", "derivative_tol", "root_tol", "series_eps"):
-            if getattr(self, name) <= 0.0:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            if value <= 0.0:
                 raise ValueError(f"{name} must be strictly positive")
+        return self
 
 
 TOL = ToleranceConfig()

@@ -14,7 +14,7 @@ T_{k+2g} = V_0 V_k^-1 produces the (8g+2)-gon whose quotient has genus g.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from .modgroup import INFINITY, mobius_real
 from .numerics import NumericsError
@@ -48,21 +48,25 @@ def _mat_inv(m):
     return (d / det, -b / det, -c / det, a / det)
 
 
-@dataclass
-class Pairing:
-    name: str
-    matrix: tuple
-    src: int  # side index in the vertex cycle
-    dst: int
+class Pairing(SimpleNamespace):
+    """Side pairing: src and dst are side indices in the vertex cycle."""
+
+    def __init__(self, name: str, matrix: tuple, src: int, dst: int):
+        super().__init__(name=name, matrix=matrix, src=src, dst=dst)
 
 
-@dataclass
-class GeodesicPolygon:
-    """Corner list (boundary order) plus side pairings."""
+class GeodesicPolygon(SimpleNamespace):
+    """Corner list (boundary order) plus side pairings.
 
-    corners: list  # values in R or INFINITY, consecutive corners bound a side
-    pairings: list = field(default_factory=list)
-    genus_parameter: int = 0  # the g of the construction
+    corners are values in R or INFINITY, consecutive corners bound a side;
+    genus_parameter is the g of the construction.
+    """
+
+    def __init__(self, corners: list, pairings: list | None = None,
+                 genus_parameter: int = 0):
+        super().__init__(corners=corners,
+                         pairings=[] if pairings is None else pairings,
+                         genus_parameter=genus_parameter)
 
     @property
     def n_sides(self) -> int:

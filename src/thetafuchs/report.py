@@ -8,18 +8,15 @@ enter the payload (wall time goes to stderr only).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
+from types import SimpleNamespace
 
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class CheckRow:
-    name: str
-    residual: float
-    tol: float
-    passed: bool
-    note: str = ""
+class CheckRow(namedtuple("CheckRow", "name residual tol passed note",
+                          defaults=("",))):
+    __slots__ = ()
 
     @staticmethod
     def from_residual(name: str, residual: float, tol: float,
@@ -35,12 +32,13 @@ class CheckRow:
         return out
 
 
-@dataclass
-class RunReport:
-    command: str
-    parameters: dict = field(default_factory=dict)
-    rows: list = field(default_factory=list)
-    extra: dict = field(default_factory=dict)
+class RunReport(SimpleNamespace):
+    def __init__(self, command: str, parameters: dict | None = None,
+                 rows: list | None = None, extra: dict | None = None):
+        super().__init__(command=command,
+                         parameters={} if parameters is None else parameters,
+                         rows=[] if rows is None else rows,
+                         extra={} if extra is None else extra)
 
     def add(self, name: str, residual: float, tol: float, note: str = "") -> None:
         self.rows.append(CheckRow.from_residual(name, residual, tol, note))

@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
-from typing import Callable, NamedTuple
 
 from .ddnum import CDD, DD_PI, DD_PI_SQ_12, DD_SERIES_EPS, cdd_exp
 from .numerics import TOL, NumericsError, check_tau
@@ -61,13 +60,9 @@ class SeriesTruncationError(NumericsError):
     """Raised when a q-series still moves at the term cap (Im tau too small)."""
 
 
-class Arithmetic(NamedTuple):
-    """What the scalar type of tau fixes for the series and jets."""
-
-    exp: Callable
-    pi: object
-    series_eps: float
-    eta_w_scale: Callable  # c in eta_w = c * E2
+# What the scalar type of tau fixes for the series and jets; eta_w_scale()
+# is c in eta_w = c * E2.
+Arithmetic = namedtuple("Arithmetic", "exp pi series_eps eta_w_scale")
 
 
 def arithmetic(z) -> Arithmetic:
@@ -357,16 +352,10 @@ _DOUBLE_DOUBLE = Arithmetic(cdd_exp, CDD(DD_PI), DD_SERIES_EPS,
                             lambda: CDD(DD_PI_SQ_12))
 
 
-@dataclass(frozen=True)
-class ThetaFrame:
+class ThetaFrame(namedtuple("ThetaFrame", "tau t2 t3 t4 eta etaw")):
     """theta2..theta4, eta, eta_w at a common tau."""
 
-    tau: complex
-    t2: complex
-    t3: complex
-    t4: complex
-    eta: complex
-    etaw: complex
+    __slots__ = ()
 
     def check(self, tol: float | None = None) -> None:
         tol = TOL.identity_tol if tol is None else tol

@@ -210,7 +210,7 @@ def test_cover_point_cache_holds_one_tau():
     from thetafuchs.jets import JET_CACHE_SIZE
 
     ab._cover_alpha.cache_clear()
-    cli._integral_rows(0.4 + 1.3j)
+    cli._integral_rows()(0.4 + 1.3j)
     assert ab._cover_alpha.cache_info().maxsize == JET_CACHE_SIZE
     assert ab._cover_alpha.cache_info().currsize <= JET_CACHE_SIZE // 4
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -174,7 +173,7 @@ def _fresh_cover_params():
     computed yet."""
     from thetafuchs import abelian as ab
 
-    return dataclasses.replace(ab.cover_params(+1))
+    return ab.cover_params(+1)._replace()
 
 
 def test_lattice_constants_computed_once(monkeypatch):
@@ -316,8 +315,9 @@ def test_wp_inverse_polish_stops_at_round_off(monkeypatch):
     monkeypatch.setattr(el, "wp", counted_wp)
     monkeypatch.setattr(el, "wp_inverse", counted_inverse)
     ab._cover_alpha.cache_clear()
+    integral_rows = cli._integral_rows()
     for tau in tau_grid(200, seed=7, im_range=cli.SUITES["integrals"].im_range):
-        cli._integral_rows(tau)
+        integral_rows(tau)
     assert len(evaluations) == 200 * 6
     assert max(evaluations) - 2 <= 2
 

@@ -143,7 +143,7 @@ def test_jet_caches_hold_one_tau(monkeypatch):
         return real(qid, tau)
 
     monkeypatch.setattr(fu, "residual_dd", counted)
-    assert _keys_left_by(lambda: cli._fuchsian_rows(2.5j)) <= limit
+    assert _keys_left_by(lambda: cli._fuchsian_rows()(2.5j)) <= limit
     assert refined  # the tau took the double-double route too
     assert _keys_left_by(lambda: iv.quintic_solve(0.3 + 0.2j)) <= limit
 
@@ -349,10 +349,11 @@ def test_caches_kept_per_tau_stay_bounded():
     assert jets.JET_CACHE_SIZE is th.JET_CACHE_SIZE
     for cache in caches:
         assert cache.cache_info().maxsize == jets.JET_CACHE_SIZE == 64
+    fuchsian_rows, integral_rows = cli._fuchsian_rows(), cli._integral_rows()
     for tau in tau_grid(300, seed=29, im_range=(0.4, 2.5)):
-        cli._fuchsian_rows(tau)
+        fuchsian_rows(tau)
     for tau in tau_grid(300, seed=31, im_range=(0.5, 1.8)):
-        cli._integral_rows(tau)
+        integral_rows(tau)
     for cache in caches:
         info = cache.cache_info()
         assert info.misses > info.maxsize      # many tau went by

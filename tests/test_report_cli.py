@@ -11,7 +11,7 @@ from contextlib import redirect_stdout
 import pytest
 
 import thetafuchs
-from thetafuchs import cli
+from thetafuchs import cli, inversion, theta_eta
 from thetafuchs.jets import JET_CACHE_SIZE, Jet
 from thetafuchs.report import RunReport
 
@@ -313,7 +313,7 @@ def test_samples_below_one_is_usage_error(suite, samples):
 
 
 def test_nan_residual_fails_its_row(monkeypatch):
-    real = cli.th.identity_residuals
+    real = theta_eta.identity_residuals
     seen = []
 
     def nan_on_second_sample(tau):
@@ -323,7 +323,7 @@ def test_nan_residual_fails_its_row(monkeypatch):
             res["landen"] = math.nan
         return res
 
-    monkeypatch.setattr(cli.th, "identity_residuals", nan_on_second_sample)
+    monkeypatch.setattr(theta_eta, "identity_residuals", nan_on_second_sample)
     status, out = run_cli(["verify", "identities", "--samples", "4"])
     assert status == 1
     rows = {c["name"]: c for c in json.loads(out)["checks"]}
@@ -346,14 +346,14 @@ def test_row_with_no_checked_sample_fails():
 
 
 def test_nan_orbit_value_fails_octahedral_orbit_j(monkeypatch):
-    real = cli.iv.octahedral_j
+    real = inversion.octahedral_j
     calls = []
 
     def nan_on_second_orbit_value(a):
         calls.append(a)
         return math.nan if len(calls) == 2 else real(a)
 
-    monkeypatch.setattr(cli.iv, "octahedral_j", nan_on_second_orbit_value)
+    monkeypatch.setattr(inversion, "octahedral_j", nan_on_second_orbit_value)
     status, out = run_cli(["exact-values"])
     assert status == 1
     rows = {c["name"]: c for c in json.loads(out)["checks"]}
@@ -379,3 +379,82 @@ def test_runtime_imports_are_standard_library():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == []
+
+
+def _fresh_modules(code: str) -> set:
+    """The names in sys.modules of a fresh interpreter without site hooks,
+    after it has run code, which prints nothing."""
+    src = os.path.dirname(os.path.dirname(thetafuchs.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code += "\nimport sys\nprint(' '.join(sorted(sys.modules)))\n"
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return set(out.stdout.split())
+
+
+def test_imports_load_only_what_a_command_runs():
+    # the benchmark's set-up imports: no dataclass or typing machinery, and
+    # none of the modules that no set-up call needs
+    loaded = _fresh_modules("import thetafuchs\n"
+                            "from thetafuchs import abelian, modgroup, theta_eta")
+    assert not loaded & {"dataclasses", "inspect", "typing",
+                         "thetafuchs.inversion", "thetafuchs.polygons",
+                         "thetafuchs.cli", "thetafuchs.report"}
+    # eval theta loads the theta series and what it stands on, nothing else
+    loaded = _fresh_modules(
+        "import contextlib, io\n"
+        "from thetafuchs import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['eval', 'theta', '--tau', '0.3,1.1']) == 0")
+    assert {name for name in loaded if name.startswith("thetafuchs")} == {
+        "thetafuchs", "thetafuchs.cli", "thetafuchs.report",
+        "thetafuchs.theta_eta", "thetafuchs.numerics", "thetafuchs.ddnum"}
+
+
+# What the package exported when it imported every submodule eagerly.
+EXPORTS = {
+    "numerics": "ToleranceConfig TOL NumericsError fd_jet newton_solve "
+                "poly_roots tau_grid",
+    "theta_eta": "ThetaFrame eta eta_w identity_residuals theta theta2 "
+                 "theta3 theta4",
+    "jets": "Jet ThetaJet theta_jet",
+    "elliptic": "WeierstrassParams carlson_rf eisenstein ellip_K ellip_Kprime "
+                "hyp2f1_half klein_j legendre_moduli wp wp_inverse",
+    "modgroup": "ProjMatrix burnside_tables coset_orbit coset_reps disc_map "
+                "gamma4_reduce membership mobius nielsen_schreier "
+                "reduce_fundamental",
+    "polygons": "GeodesicPolygon build_polygon default_polygon double_polygon "
+                "genus_of make_parabolic",
+    "fuchsian": "modular_ode_residuals psi q_catalogue schwarzian_jet "
+                "verify_fuchsian change_of_var_check",
+    "curves": "CurveSpec burnside_wp_forms chi_burnside curve_residual "
+              "discriminant_y j_bridge_residual kl_relation_check registry",
+    "inversion": "InversionResult QuinticSolution exact_value_suite "
+                 "invert_chi quintic_solve series_at_i",
+    "abelian": "alpha_pm burnside_surface_metric cover_point "
+               "holo_differential_check liouville_residual mero_identity_check "
+               "metric_density torus_metric_check",
+}
+
+
+def test_lazy_package_keeps_every_export():
+    listed = dir(thetafuchs)
+    for module, names in EXPORTS.items():
+        sub = importlib.import_module(f"thetafuchs.{module}")
+        assert getattr(thetafuchs, module) is sub
+        assert module in listed
+        for name in names.split():
+            assert getattr(thetafuchs, name) is getattr(sub, name), name
+            assert name in listed
+    assert thetafuchs.__version__ == "0.1.0"
+    with pytest.raises(AttributeError):
+        thetafuchs.no_such_name
+    # dir lists what is not loaded yet; a submodule is imported on first
+    # access, by name or by from-import
+    loaded = _fresh_modules("import thetafuchs\n"
+                            "assert {'inversion', 'invert_chi'} <= "
+                            "set(dir(thetafuchs))\n"
+                            "assert thetafuchs.theta is thetafuchs.theta_eta.theta\n"
+                            "from thetafuchs import inversion, polygons\n"
+                            "assert polygons.genus_of\n")
+    assert {"thetafuchs.inversion", "thetafuchs.polygons"} <= loaded

@@ -90,3 +90,15 @@ def test_items_name_the_first_differing_item(monkeypatch, capsys):
     assert ("DIFF fuchsian-sweep: first differing item\n"
             f"  {moved[1]}\n  -> {lines[1]}") in out
     assert "4 benchmark items" in out and "2 differ, 2 identical" in out
+
+
+def test_startup_pairs_time_both_trees(monkeypatch, tmp_path, capsys):
+    # one pair of the set-up and of eval theta, this tree against its copy
+    monkeypatch.setattr(vd, "STARTUP_CASES", vd.STARTUP_CASES[:2])
+    vd.copy_tree(tmp_path)
+    assert not list(tmp_path.rglob("__pycache__"))
+    vd.compare_startup(vd.ROOT, tmp_path, pairs=1)
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("cold starts in 1 alternating pairs")
+    assert [line.split()[0] for line in out[1:]] == ["setup_s", "eval"]
+    assert all(line.endswith("of 1") for line in out[1:])

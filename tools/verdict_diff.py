@@ -3,6 +3,7 @@ revision.
 
     python3 tools/verdict_diff.py REV [--jobs N]
     python3 tools/verdict_diff.py REV --items [ROUNDS]
+    python3 tools/verdict_diff.py REV --startup [PAIRS]
 
 Exports REV's files with `git archive` into a temporary directory, then runs
 `thetafuchs verify SUITE --seed S --samples N` for every suite, seeds 1-7,
@@ -23,6 +24,14 @@ over all of its tau at once, the benchmark one tau at a time, so this mode
 checks the path that the benchmark times, the double-double refinement of
 single tau included.  The repr of every answer (or of its NumericsError) is
 compared, and the first differing item of each workload is printed.
+
+With --startup, it times cold starts instead, in PAIRS alternating pairs
+(default 10) of REV's copy and a copy of this tree's src/ and perfbench/:
+`perfbench/worker.py --setup-only` (its own setup_s, the benchmark's
+start-up), and the wall time of `eval theta`, `invert`, `quintic` and
+`exact-values` at fixed arguments.  Neither copy holds bytecode, and none is
+written.  It prints each side's median and quartiles, and in how many pairs
+this tree was faster.
 """
 
 from __future__ import annotations
@@ -30,9 +39,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -50,6 +62,13 @@ QUINTIC_AS = ("0.01,0", "0.3,0.2", "-0.2,0.35", "0.1,-0.1", "0.4,0",
               "0,0.25")
 EVAL_TAUS = ("0.3,1.1", "-0.45,0.6", "1.7,0.2", "0.5,2", "0.1,0.05",
              "0.0021836,0.0152496")
+# Start-up cases: the benchmark's set-up, then four short commands.
+CLI = ("-m", "thetafuchs.cli")
+STARTUP_CASES = (("setup_s", ("perfbench/worker.py", "--setup-only")),
+                 ("eval theta", (*CLI, "eval", "theta", "--tau=0.3,1.1")),
+                 ("invert", (*CLI, "invert", "--value=0.5,0.3")),
+                 ("quintic", (*CLI, "quintic", "--a=0.3,0.2")),
+                 ("exact-values", (*CLI, "exact-values")))
 ROOT = Path(__file__).resolve().parent.parent
 ITEMS_SEED = 11
 # Run in a fresh interpreter with a tree's src/ and perfbench/ on the path:
@@ -128,6 +147,52 @@ def compare_items(base: Path, rounds: int) -> int:
           f"seed {ITEMS_SEED}) per tree: {differing} differ, "
           f"{len(old) - differing} identical")
     return differing
+
+
+def startup_time(tree: Path, argv: tuple) -> float:
+    """Seconds of one cold start from tree: the worker's own setup_s, or the
+    wall time of a command's whole process.  A failed start raises, so that
+    it cannot pass for a fast one."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *argv], cwd=tree, env=env,
+                          capture_output=True, text=True, check=True)
+    wall = time.perf_counter() - start
+    if argv[0].endswith("worker.py"):
+        return json.loads(proc.stdout)["setup_s"]
+    return wall
+
+
+def _quartiles(times: list) -> str:
+    q = (statistics.quantiles(times, n=4, method="inclusive")
+         if len(times) > 1 else times * 3)
+    return f"{q[1]:.3f} [{q[0]:.3f}, {q[2]:.3f}]"
+
+
+def compare_startup(base: Path, here: Path, pairs: int) -> None:
+    """Time every start-up case in base and here, alternating which goes
+    first; print each side's median [quartiles] and here's wins."""
+    times = {case: ([], []) for case, _ in STARTUP_CASES}
+    sides = ((0, base), (1, here))
+    for index in range(pairs):
+        order = sides if index % 2 == 0 else sides[::-1]
+        for case, argv in STARTUP_CASES:
+            for side, tree in order:
+                times[case][side].append(startup_time(tree, argv))
+    print(f"cold starts in {pairs} alternating pairs, seconds as "
+          "median [lower, upper quartile]")
+    for case, (old, new) in times.items():
+        wins = sum(n < o for o, n in zip(old, new))
+        print(f"{case:13s} base {_quartiles(old)}  here {_quartiles(new)}  "
+              f"here faster in {wins} of {pairs}")
+
+
+def copy_tree(dest: Path) -> None:
+    """This tree's src/ and perfbench/ in dest, without bytecode or results."""
+    skip = shutil.ignore_patterns("__pycache__", "results")
+    for part in ("src", "perfbench"):
+        shutil.copytree(ROOT / part, dest / part, ignore=skip)
 
 
 def _document(stdout: bytes):
@@ -223,16 +288,22 @@ def main(argv=None) -> int:
     parser.add_argument("rev", help="git revision to compare against")
     parser.add_argument("--jobs", type=int, default=2,
                         help="thetafuchs runs at a time (default 2)")
-    parser.add_argument("--items", type=int, nargs="?", const=10,
-                        metavar="ROUNDS",
-                        help="compare the answers of the benchmark's items "
-                             "over ROUNDS rounds of each workload (default "
-                             "10) instead of the CLI runs")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--items", type=int, nargs="?", const=10,
+                      metavar="ROUNDS",
+                      help="compare the answers of the benchmark's items "
+                           "over ROUNDS rounds of each workload (default "
+                           "10) instead of the CLI runs")
+    mode.add_argument("--startup", type=int, nargs="?", const=10,
+                      metavar="PAIRS",
+                      help="time cold starts in PAIRS alternating pairs "
+                           "(default 10) instead of comparing outputs")
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
-    if args.items is not None and args.items < 1:
-        parser.error("--items must be at least 1")
+    for name in ("items", "startup"):
+        if getattr(args, name) is not None and getattr(args, name) < 1:
+            parser.error(f"--{name} must be at least 1")
     commit = subprocess.run(
         ["git", "rev-parse", "--verify", "--short", f"{args.rev}^{{commit}}"],
         cwd=ROOT, capture_output=True, text=True)
@@ -245,6 +316,10 @@ def main(argv=None) -> int:
             return 2             # git or tar has said why
         print(f"base {args.rev} ({commit.stdout.strip()}) against the "
               "working tree")
+        if args.startup is not None:
+            copy_tree(Path(tmp) / "here")
+            compare_startup(base, Path(tmp) / "here", args.startup)
+            return 0
         if args.items is None:
             differing = compare(base, args.jobs)
         else:
