@@ -17,9 +17,7 @@ from functools import lru_cache
 
 from . import elliptic as el
 from . import theta_eta as th
-from .curves import x_quotient
-from .fuchsian import x_burnside
-from .jets import JET_CACHE_SIZE
+from .jets import JET_CACHE_SIZE, lambda_mixed_value, x_burnside, x_quotient
 from .numerics import NumericsError, check_tau
 
 SQRT2 = math.sqrt(2.0)
@@ -67,9 +65,8 @@ def wp_argument_theta(tau: complex, sign: int) -> complex:
     The same rational expression evaluated at the Mobius image
     (x - i)/(x + i) instead of x; see mobius_bridge_residual.
     """
-    tau = check_tau(tau)
     s = 1.0 if sign >= 0 else -1.0
-    lam = th.theta3(2.0 * tau) ** 2 / (th.theta4(tau) * th.theta3(4.0 * tau))
+    lam = lambda_mixed_value(tau)
     return (1.0 + s * SQRT2) * lam / 2.0 - (3.0 + s * SQRT2) / 6.0
 
 
@@ -127,8 +124,7 @@ def alpha_slope(tau: complex, sign: int) -> complex:
     wp_inverse returns, x and x_tau from the Burnside jet.
     """
     dv = _cover_alpha(tau, sign)[2]
-    j = x_burnside(tau, 1)
-    x, x1 = j.d[0], j.d[1]
+    x, x1 = x_burnside(tau, 1).d
     return wp_rational_slope(x, sign) * x1 / dv
 
 
@@ -184,8 +180,7 @@ def holo_integrand_theta(tau: complex, sign: int) -> complex:
 def holo_integrand_x(tau: complex, sign: int) -> complex:
     """(x -+ i sqrt(i)) / sqrt(x^5 - x) * dx/dtau with principal root."""
     s = 1.0 if sign >= 0 else -1.0
-    j = x_burnside(tau, 1)
-    x, x1 = j.d[0], j.d[1]
+    x, x1 = x_burnside(tau, 1).d
     return (x - s * 1j * SQRT_I) / cmath.sqrt(x ** 5 - x) * x1
 
 
@@ -225,8 +220,7 @@ def mero_integrand_i2(tau: complex) -> complex:
 
 def mero_direct_integrand(tau: complex, pole: complex) -> complex:
     """(x - pole)^-1 (x^5 - x)^(-1/2) dx/dtau from the jets."""
-    j = x_burnside(tau, 1)
-    x, x1 = j.d[0], j.d[1]
+    x, x1 = x_burnside(tau, 1).d
     if abs(x - pole) < 1e-8:
         raise NumericsError("sample too close to the pole")
     return x1 / ((x - pole) * cmath.sqrt(x ** 5 - x))
@@ -235,8 +229,7 @@ def mero_direct_integrand(tau: complex, pole: complex) -> complex:
 def alpha_slope_exact(tau: complex, sign: int) -> complex:
     """(x -+ i sqrt(i)) x_tau / (sqrt(1+i) sqrt(x^5-x)), the closed form."""
     s = 1.0 if sign >= 0 else -1.0
-    j = x_burnside(tau, 1)
-    x, x1 = j.d[0], j.d[1]
+    x, x1 = x_burnside(tau, 1).d
     return (x - s * 1j * SQRT_I) * x1 / (SQRT_1PI * cmath.sqrt(x ** 5 - x))
 
 

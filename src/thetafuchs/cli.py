@@ -140,10 +140,10 @@ def _integral_rows():
 
 def _metric_rows():
     from . import abelian as ab
-    from . import fuchsian as fu
+    from .jets import x_burnside
 
     def rows(tau):
-        x = fu.x_burnside(tau, 1).d[0]
+        x = x_burnside(tau, 1).d[0]
         bm = ab.burnside_surface_metric(cmath.sqrt(x ** 5 - x))
         tm = ab.torus_metric_check(tau)
         return {"liouville_relative": ab.liouville_residual(x),

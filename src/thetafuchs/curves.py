@@ -16,6 +16,9 @@ from collections import namedtuple
 
 from . import elliptic as el
 from . import theta_eta as th
+# chi_burnside, k_modulus_value, octahedral_j and x_quotient are public here
+from .jets import (chi_burnside, k_modulus_value, octahedral_factors,
+                   octahedral_j, x_quotient, y_burnside_value, z_fermat8_value)
 from .numerics import NumericsError, check_tau, max_residual
 
 SQRT2 = math.sqrt(2.0)
@@ -92,27 +95,14 @@ class CurveSpec(namedtuple("CurveSpec",
 # Parametrizations
 
 
-def chi_burnside(tau: complex) -> complex:
-    """chi(tau) = -theta4(tau/2)/theta3(tau/2), the conformal-map generator.
-
-    Both thetas come from one series pass at tau/2.
-    """
-    _, s3, s4 = th.theta_series(check_tau(tau) / 2.0)
-    return -(1.0 + s4) / (1.0 + s3)
-
-
 def phi_burnside(tau: complex) -> complex:
-    """Partner of chi with phi^2 = chi^5 - chi; sign fixed by the eta form."""
-    tau = check_tau(tau)
-    return -4.0 * th.eta(tau) ** 3 / th.theta3(tau / 2.0) ** 3
-
-
-def x_quotient(tau: complex) -> complex:
-    return th.theta4(tau) / th.theta3(tau)
+    """Partner of chi = -x(tau/2) with phi^2 = chi^5 - chi: phi = i y(tau/2)
+    = -4 eta^3(tau)/theta3^3(tau/2), the sign fixed by the eta form."""
+    return 1j * y_burnside_value(tau / 2.0)
 
 
 def _p_burnside(tau):
-    return (x_quotient(tau), 4j * th.eta(2.0 * tau) ** 3 / th.theta3(tau) ** 3)
+    return (x_quotient(tau), y_burnside_value(tau))
 
 
 def _p_burnside_conformal(tau):
@@ -120,34 +110,30 @@ def _p_burnside_conformal(tau):
 
 
 def _p_jacobi_quartic(tau):
-    t3 = th.theta3(tau)
-    return (th.theta4(tau) / t3, th.theta2(tau) / t3)
+    return (x_quotient(tau), th.theta2(tau) / th.theta3(tau))
+
+
+def _w8(tau):
+    """theta2/(sqrt2 theta3(2 tau)), the partner of z on z^8 + w^8 = 1."""
+    return th.theta2(tau) / (SQRT2 * th.theta3(2.0 * tau))
 
 
 def _p_fermat8(tau):
-    t3d = th.theta3(2.0 * tau)
-    return (th.theta4(4.0 * tau) / t3d, th.theta2(tau) / (SQRT2 * t3d))
+    return (z_fermat8_value(2.0 * tau), _w8(tau))
 
 
 def _p_z9(tau):
-    z = th.theta4(2.0 * tau) / th.theta3(tau)
     y = (1j * th.theta2(tau) ** 2 / th.theta3(tau) ** 3
          * cmath.sqrt(th.theta4(2.0 * tau) * th.theta3(tau)))
-    return (z, y)
+    return (z_fermat8_value(tau), y)
 
 
 def _p_modular3(tau):
-    return (th.theta4(6.0 * tau) / th.theta3(3.0 * tau),
-            th.theta4(2.0 * tau) / th.theta3(tau))
+    return (z_fermat8_value(3.0 * tau), z_fermat8_value(tau))
 
 
 def _p_modular5(tau):
-    return (th.theta2(5.0 * tau) / (SQRT2 * th.theta3(10.0 * tau)),
-            th.theta2(tau) / (SQRT2 * th.theta3(2.0 * tau)))
-
-
-def k_modulus_value(tau: complex) -> complex:
-    return (th.theta2(tau) / th.theta3(tau)) ** 2
+    return (_w8(5.0 * tau), _w8(tau))
 
 
 def _p_kl3(tau):
@@ -320,24 +306,15 @@ def curve_residual(cid: str, taus) -> dict:
 # The J bridge: octahedral form of Klein's invariant on the Burnside generator
 
 
-def octahedral_j(x: complex) -> complex:
-    return (x ** 8 + 14.0 * x ** 4 + 1.0) ** 3 / (108.0 * (x ** 5 - x) ** 4)
-
-
 def j_bridge_residual(tau: complex) -> float:
     """|J(tau) - octahedral form at chi(tau)|, Eisenstein route vs theta route.
 
-    The octahedral form is assembled from the cancellation-free factorizations
-    chi^5 - chi = 16 eta^6(tau)/theta3^6(tau/2) and chi^4 - 1 =
-    -theta2^4/theta3^4 at tau/2; near the cusp the naive x+1 factor would
-    cost half the digits.
+    The form is built from the factored x^4 - 1 and x^5 - x at tau/2, where
+    x = -chi; near the cusp the naive x+1 factor would cost half the digits.
     """
     tau = check_tau(tau)
-    half = tau / 2.0
-    v = -(th.theta2(half) / th.theta3(half)) ** 4
-    num = 16.0 + 16.0 * v + v * v
-    dd = 16.0 * th.eta(tau) ** 6 / th.theta3(half) ** 6
-    return abs(el.klein_j(tau) - num ** 3 / (108.0 * dd ** 4))
+    num, den = octahedral_factors(tau / 2.0)
+    return abs(el.klein_j(tau) - num ** 3 / (108.0 * den ** 4))
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +342,11 @@ def burnside_wp_forms(tau: complex) -> dict:
     den = (ph - p1) * (ph - p2t1) * dpq * dpt
     phi_wp = num / den
 
-    chi_t = chi_burnside(tau)
-    phi_t = phi_burnside(tau)
+    chi_t, phi_t = _p_burnside_conformal(tau)
     return {
         "chi_wp": chi_wp,
         "phi_wp": phi_wp,
         "chi_match": abs(chi_wp - chi_t),
-        "chi_theta_form": abs(chi_wp + th.theta4(tau / 2.0)
-                              / th.theta3(tau / 2.0)),
         "curve": abs(phi_wp ** 2 - (chi_wp ** 5 - chi_wp)),
         "phi_match": min(abs(phi_wp - phi_t), abs(phi_wp + phi_t)),
     }
@@ -391,8 +365,7 @@ def involution_residual(tau: complex) -> float:
 def kl_relation_check(tau: complex) -> dict:
     """Residuals of 3K'(k)K(l) = K'(l)K(k) and its hypergeometric form."""
     tau = check_tau(tau)
-    k = k_modulus_value(tau)
-    lam = k_modulus_value(3.0 * tau)
+    k, lam = _p_kl3(tau)
     for m in (k, lam):
         if min(abs(m), abs(m - 1.0), abs(m + 1.0)) < 1e-8:
             raise NumericsError("modulus too close to a singular value")
@@ -428,7 +401,7 @@ def kl3_normal_form_check(tau: complex) -> dict:
     hence J = (13/12)^3 / ((13/12)^3 - 27 (35/216)^2) = 13^3/972.
     """
     tau = check_tau(tau)
-    k = th.theta2(tau) ** 2 / th.theta3(tau) ** 2
+    k = k_modulus_value(tau)
     p = (th.theta2(tau) * th.theta2(3.0 * tau)
          / (th.theta3(tau) * th.theta3(3.0 * tau)))
     v = (p * p + 2.0 * p * (1.0 - p) ** 2 - k * k) / (2.0 * p * (1.0 - p))

@@ -18,7 +18,10 @@ from collections import namedtuple
 from . import elliptic as el
 from . import theta_eta as th
 from .ddnum import CDD
-from .jets import Jet, theta_jet
+# the uniformizers are also this module's public names
+from .jets import (Jet, chi_half, j_invariant, k_modulus, kprime2,
+                   lambda_mixed, octahedral_factors, theta_jet, x4_minus_1,
+                   x_burnside, y_burnside, z_fermat8)
 from .numerics import NumericsError, check_tau, max_residual
 
 _CRITICAL_XTAU = 1e-6
@@ -47,60 +50,6 @@ def schwarzian_jet(xfun, tau: complex) -> SchwarzianSample:
     j = xfun(tau, 3)
     sch, mero = brackets_from_jet(j)
     return SchwarzianSample(tau, j.d[0], j.d[1], j.d[2], j.d[3], sch, mero)
-
-
-# ---------------------------------------------------------------------------
-# Uniformizing expressions (jets in tau)
-
-
-def x_burnside(tau, order=3) -> Jet:
-    j = theta_jet(tau, (1, 0), order)
-    return j.t4 / j.t3
-
-
-def chi_half(tau, order=3) -> Jet:
-    """chi(tau) = -theta4(tau/2)/theta3(tau/2), the conformal-map normalization."""
-    j = theta_jet(tau, (0.5, 0), order)
-    return -(j.t4 / j.t3)
-
-
-def y_burnside(tau, order=3) -> Jet:
-    e2 = theta_jet(tau, (2, 0), order).eta
-    t3 = theta_jet(tau, (1, 0), order).t3
-    return 4j * e2.pow(3) / t3.pow(3)
-
-
-def k_modulus(tau, order=3) -> Jet:
-    j = theta_jet(tau, (1, 0), order)
-    return (j.t2 / j.t3).pow(2)
-
-
-def kprime2(tau, order=3) -> Jet:
-    j = theta_jet(tau, (1, 0), order)
-    return (j.t4 / j.t3).pow(4)
-
-
-def z_fermat8(tau, order=3) -> Jet:
-    t4d = theta_jet(tau, (2, 0), order).t4
-    t3 = theta_jet(tau, (1, 0), order).t3
-    return t4d / t3
-
-
-def lambda_mixed(tau, order=3) -> Jet:
-    t3d = theta_jet(tau, (2, 0), order).t3
-    t4 = theta_jet(tau, (1, 0), order).t4
-    t3q = theta_jet(tau, (4, 0), order).t3
-    return t3d.pow(2) / (t4 * t3q)
-
-
-def j_invariant(tau, order=3) -> Jet:
-    """Klein's J as a jet, through the octahedral form in x(tau/2)."""
-    j = theta_jet(tau, (0.5, 0), order)
-    x = j.t4 / j.t3
-    x4 = x.pow(4)
-    num = (x4.pow(2) + 14.0 * x4 + 1.0).pow(3)
-    den = (x.pow(5) - x).pow(4)
-    return num / (108.0 * den)  # exact in double-double, unlike 1/108
 
 
 def psi1_tau(tau, order=3) -> Jet:
@@ -203,25 +152,16 @@ def _fused_residual(j: Jet, q_value: complex) -> float:
     return abs(sch - q_value * x1 * x1) / abs(x1) ** 2
 
 
-def _residual_burnside(tau: complex, j: Jet, half: bool) -> float:
-    # x^4 - 1 = -theta2^4/theta3^4 and x^5 - x = -16 eta^6(2s)/theta3^6(s)
-    # at s = tau (s = tau/2 for the conformal-map normalization chi).
-    s = tau / 2.0 if half else tau
-    t2, t3 = th.theta2(s), th.theta3(s)
-    eta_d = th.eta(2.0 * s)
-    v = -(t2 / t3) ** 4
-    num = 16.0 + 16.0 * v + v * v
-    dd = 16.0 * eta_d ** 6 / t3 ** 6
-    if not half:
-        dd = -dd
-    q_val = -0.5 * num / (dd * dd)
-    return _fused_residual(j, q_val)
+def _residual_burnside(s: complex, j: Jet) -> float:
+    # Q from the factored x^8 + 14 x^4 + 1 and x^5 - x at s: s = tau for x,
+    # s = tau/2 for chi = -x(tau/2), the sign dropping out of the even Q
+    num, den = octahedral_factors(s)
+    return _fused_residual(j, -0.5 * num / (den * den))
 
 
 def _residual_fermat8(tau: complex, j: Jet) -> float:
-    # z^8 - 1 = -theta2^4/theta3^4 via theta4^2(2 tau) = theta3 theta4
-    t2, t3 = th.theta2(tau), th.theta3(tau)
-    u = -(t2 / t3) ** 4
+    # z^8 - 1 = x^4 - 1 at tau, via theta4^2(2 tau) = theta3 theta4
+    u = x4_minus_1(tau)
     z = j.d[0]
     num = 64.0 + 64.0 * u + u * u
     q_val = -0.5 * num / (z * z * u * u)
@@ -232,10 +172,6 @@ def _residual_lambda_mixed(tau: complex, j: Jet) -> float:
     # lambda - 1 = theta3(tau) theta2(4 tau) / (theta4(tau) theta3(4 tau))
     mu = (th.theta3(tau) * th.theta2(4.0 * tau)
           / (th.theta4(tau) * th.theta3(4.0 * tau)))
-    return _lambda_mixed_fused(j, mu)
-
-
-def _lambda_mixed_fused(j: Jet, mu: complex) -> float:
     lam = j.d[0]
     num = (1.0 + mu * (10.0 + mu * (51.0 + mu * (68.0 + mu * (51.0 + mu
            * (10.0 + mu))))))
@@ -245,13 +181,11 @@ def _lambda_mixed_fused(j: Jet, mu: complex) -> float:
 
 
 def _residual_legendre(tau: complex, j: Jet) -> float:
-    # z = k'^2: z - 1 = -theta2^4/theta3^4
-    t2, t3 = th.theta2(tau), th.theta3(tau)
-    u = -(t2 / t3) ** 4
+    # z = k'^2 = x^4, so z - 1 is the factored x^4 - 1
+    u = x4_minus_1(tau)
     z = j.d[0]
     q_val = -0.5 * (u * u + u + 1.0) / (z * u) ** 2
     return _fused_residual(j, q_val)
-
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +212,10 @@ def residual_dd(qid: str, tau: complex) -> float:
 _CATALOGUE = {
     "burnside": QFunction(
         "burnside", q_burnside, (0, 1, -1, 1j, -1j), True, x_burnside,
-        lambda tau, j: _residual_burnside(tau, j, False),
-        "y^2 = x^5 - x, x = theta4/theta3"),
+        _residual_burnside, "y^2 = x^5 - x, x = theta4/theta3"),
     "burnside_chi": QFunction(
         "burnside_chi", q_burnside, (0, 1, -1, 1j, -1j), True, chi_half,
-        lambda tau, j: _residual_burnside(tau, j, True),
+        lambda tau, j: _residual_burnside(tau / 2.0, j),
         "same equation in the conformal-map normalization"),
     "legendre": QFunction(
         "legendre", q_legendre, (0, 1), True, kprime2, _residual_legendre,
@@ -292,8 +225,7 @@ _CATALOGUE = {
         "level-one equation in Klein's J"),
     "fermat4": QFunction(
         "fermat4", q_fermat(4), (0,) + tuple(1j ** k for k in range(4)),
-        True, x_burnside, lambda tau, j: _residual_burnside(tau, j, False),
-        "z^4 + w^4 = 1"),
+        True, x_burnside, _residual_burnside, "z^4 + w^4 = 1"),
     "fermat8": QFunction(
         "fermat8", q_fermat(8), (0,) + _EIGHTH_ROOTS, True, z_fermat8,
         _residual_fermat8, "z^8 + w^8 = 1"),
@@ -567,7 +499,7 @@ def modular_ode_residuals(tau: complex) -> dict:
         - 3.0 / math.pi ** 2 * g2d
     res["ode_weight2"] = abs(p2 + coeff * p0)
 
-    lg = (base.t4 / base.t3).log()
+    lg = x_burnside(tau, 3).log()
     psi_log = base.t2.pow(-2) * (1.0 + lg)
     t4d8 = theta_jet(tau, (2, 0), 0).t4.d[0] ** 8
     res["ode_log_solution"] = abs(psi_log.d[2]

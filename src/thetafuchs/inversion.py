@@ -21,12 +21,12 @@ from collections import namedtuple
 from functools import lru_cache
 
 from . import elliptic as el
-from . import theta_eta as th
-from .curves import chi_burnside, octahedral_j, x_quotient
-from .jets import theta_jet
+# modular_quintic_rhs is public here
+from .jets import (chi_burnside, chi_half, modular_quintic_rhs,
+                   modular_quintic_rhs_jet, octahedral_j, x_quotient)
 from .modgroup import coset_reps, gamma4_reduce, mobius
-from .numerics import (TOL, NumericsError, check_tau, fd_jet, max_residual,
-                       newton_solve, poly_roots)
+from .numerics import (TOL, NumericsError, fd_jet, max_residual, newton_solve,
+                       poly_roots)
 
 
 # Marker for inversion at a branch value of the curve.
@@ -87,8 +87,7 @@ def exact_value_suite() -> dict:
     out = {}
     out["chi_sqrt2_abs"] = abs(abs(chi_burnside(1j * SQRT2))
                                - math.sqrt(SQRT2 - 1.0))
-    out["t4_over_t3_half_i"] = abs(th.theta4(0.5j) / th.theta3(0.5j)
-                                   - (SQRT2 - 1.0))
+    out["t4_over_t3_half_i"] = abs(x_quotient(0.5j) - (SQRT2 - 1.0))
     chi_i = chi_burnside(1j)
     out["chi_at_i_in_class"] = min(abs(chi_i - v) for v in
                                    (1 + SQRT2, 1 - SQRT2, -1 + SQRT2, -1 - SQRT2))
@@ -130,8 +129,7 @@ def series_at_i() -> dict:
         "j_coeff2": abs(d2 / 2.0 + 12.0 * g2 / math.pi ** 2),
         "j_coeff3": abs(d3 / 6.0 + 12j * g2 / math.pi ** 2),
     }
-    jet = theta_jet(1j, (0.5, 0), 1)
-    chi1 = -(jet.t4 / jet.t3).d[1]
+    chi1 = chi_half(1j, 1).d[1]
     out["chi_slope_sq"] = abs(chi1 ** 2 - (4.0 * SQRT2 - 6.0) * g2 / math.pi ** 2)
     return out
 
@@ -147,21 +145,12 @@ QuinticSolution = namedtuple(
     "vieta_residual newton_iterations")
 
 
-def modular_quintic_rhs(tau: complex) -> complex:
-    """16 eta^6(2 tau)/theta3^6(tau); x^5 - x + rhs = 0 at x = theta4/theta3."""
-    tau = check_tau(tau)
-    return 16.0 * th.eta(2.0 * tau) ** 6 / th.theta3(tau) ** 6
-
-
 # Newton evaluates f and f' at the same iterate, and the solver reads the
 # value at its last iterate again: one entry serves all three.
 @lru_cache(maxsize=1)
 def _rhs_and_slope(tau: complex):
     """16 eta^6(2 tau)/theta3^6(tau) and its tau-derivative, from the jets."""
-    j2 = theta_jet(tau, (2, 0), 1)
-    j1 = theta_jet(tau, (1, 0), 1)
-    g = 16.0 * j2.eta.pow(6) / j1.t3.pow(6)
-    return g.d[0], g.d[1]
+    return modular_quintic_rhs_jet(tau, 1).d
 
 
 def _damped_newton(target: complex, start: complex, max_iter: int = 80):

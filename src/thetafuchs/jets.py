@@ -19,6 +19,9 @@ The closed first-order system
 
 is not used to build the jets; it checks them, as four rows of
 fuchsian.modular_ode_residuals and in the tests up to order 6.
+
+The uniformizers (x, chi, y, k^2, z, lambda, J) and the factored forms of
+x^4 - 1 and x^5 - x are stated here once, each with a value and a jet route.
 """
 
 from __future__ import annotations
@@ -284,11 +287,6 @@ class ThetaJet(namedtuple("ThetaJet", "tau scale order t2 t3 t4")):
     def etaw(self) -> Jet:
         return _rescale(_eta_jet(self.sigma, self.order)[1], self.scale[0])
 
-    @property
-    def frame(self) -> th.ThetaFrame:
-        return th.ThetaFrame(self.tau, self.t2.value, self.t3.value,
-                             self.t4.value, self.eta.value, self.etaw.value)
-
 
 @lru_cache(maxsize=JET_CACHE_SIZE)
 def theta_jet(tau, scale=(1, 0), order: int = 1) -> ThetaJet:
@@ -309,3 +307,116 @@ def theta_jet(tau, scale=(1, 0), order: int = 1) -> ThetaJet:
     t2, t3, t4 = _quad_jets(sigma, order)
     return ThetaJet(tau, (cf, df), order, _rescale(t2, cf), _rescale(t3, cf),
                     _rescale(t4, cf), sigma)
+
+
+# ---------------------------------------------------------------------------
+# Uniformizers and factored forms, each one expression over a theta source:
+# t(c) holds theta2..theta4 and eta at c*tau, as numbers on the value route
+# (complex, or CDD for a CDD tau) and as theta_jet(tau, (c, 0), order) on
+# the jet route.
+
+
+class ThetaValues:
+    """theta2..theta4 and eta at sigma as numbers, each read when used; the
+    thetas share one (cached) theta_series pass."""
+
+    __slots__ = ("sigma",)
+
+    def __init__(self, sigma):
+        self.sigma = sigma
+
+    t2 = property(lambda self: th.theta_series(self.sigma)[0])
+    t3 = property(lambda self: 1.0 + th.theta_series(self.sigma)[1])
+    t4 = property(lambda self: 1.0 + th.theta_series(self.sigma)[2])
+    eta = property(lambda self: th.eta(self.sigma))
+
+
+def _routes(expr):
+    """(value(tau), jet(tau, order=3)); the series under each validates tau."""
+    def value(tau):
+        return expr(lambda c: ThetaValues(tau if c == 1 else c * tau))
+
+    def jet(tau, order=3) -> Jet:
+        return expr(lambda c: theta_jet(tau, (c, 0), order))
+
+    value.__doc__ = jet.__doc__ = expr.__doc__
+    return value, jet
+
+
+def _x(t):
+    """x = theta4/theta3, the uniformizer of y^2 = x^5 - x."""
+    s = t(1)
+    return s.t4 / s.t3
+
+
+def _chi(t):
+    """chi = -theta4(tau/2)/theta3(tau/2) = -x(tau/2), the conformal-map
+    normalization of x."""
+    s = t(0.5)
+    return -(s.t4 / s.t3)
+
+
+def _y(t):
+    """y = 4i eta^3(2 tau)/theta3^3, with y^2 = x^5 - x."""
+    return 4j * t(2).eta ** 3 / t(1).t3 ** 3
+
+
+def _k2(t):
+    """k^2 = (theta2/theta3)^2, the square of the Legendre modulus."""
+    s = t(1)
+    return (s.t2 / s.t3) ** 2
+
+
+def _z(t):
+    """z = theta4(2 tau)/theta3(tau), with z^8 + w^8 = 1."""
+    return t(2).t4 / t(1).t3
+
+
+def _lambda(t):
+    """lambda = theta3^2(2 tau)/(theta4 theta3(4 tau)) = (x^2+1)/(x(x+1))."""
+    return t(2).t3 ** 2 / (t(1).t4 * t(4).t3)
+
+
+def _quintic_rhs(t):
+    """16 eta^6(2 tau)/theta3^6(tau) = x - x^5 at x = theta4/theta3: the
+    factored form of x^5 - x, and the a of x^5 - x + a = 0 that x solves."""
+    return 16.0 * t(2).eta ** 6 / t(1).t3 ** 6
+
+
+x_quotient, x_burnside = _routes(_x)
+chi_burnside, chi_half = _routes(_chi)
+y_burnside_value, y_burnside = _routes(_y)
+k_modulus_value, k_modulus = _routes(_k2)
+z_fermat8_value, z_fermat8 = _routes(_z)
+lambda_mixed_value, lambda_mixed = _routes(_lambda)
+modular_quintic_rhs, modular_quintic_rhs_jet = _routes(_quintic_rhs)
+
+
+def kprime2(tau, order=3) -> Jet:
+    """k'^2 = x^4 as a jet."""
+    return x_burnside(tau, order) ** 4
+
+
+def octahedral_j(x):
+    """Klein's J as the octahedral form in x, a number or a Jet."""
+    x4 = x ** 4
+    # a division by 108, exact in double-double, unlike a product by 1/108
+    return (x4 * x4 + 14.0 * x4 + 1.0) ** 3 / (108.0 * (x ** 5 - x) ** 4)
+
+
+def j_invariant(tau, order=3) -> Jet:
+    """Klein's J as a jet, the octahedral form at chi."""
+    return octahedral_j(chi_half(tau, order))
+
+
+def x4_minus_1(tau):
+    """x^4 - 1 = -(theta2/theta3)^4 at x = theta4/theta3 (tau), which keeps
+    the digits that x^4 - 1 loses near the cusp, where x -> 1."""
+    return -k_modulus_value(tau) ** 2
+
+
+def octahedral_factors(tau):
+    """(num, den) = (x^8 + 14 x^4 + 1, x^5 - x) at x = theta4/theta3 (tau)
+    from the factored forms, so J = num^3/(108 den^4), Q = -num/(2 den^2)."""
+    v = x4_minus_1(tau)
+    return 16.0 + 16.0 * v + v * v, -modular_quintic_rhs(tau)

@@ -48,7 +48,6 @@ def test_z9_squared_identity():
 def test_wp_forms():
     out = cv.burnside_wp_forms(0.2 + 1.3j)
     assert out["chi_match"] < 1e-9
-    assert out["chi_theta_form"] < 1e-9
     assert out["curve"] < 1e-8
     assert out["phi_match"] < 1e-8
 

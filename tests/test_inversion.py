@@ -2,8 +2,8 @@ import math
 import time
 
 from thetafuchs import inversion as iv
-from thetafuchs.curves import chi_burnside, x_quotient
-from thetafuchs.jets import theta_jet
+from thetafuchs import jets
+from thetafuchs.jets import chi_burnside, theta_jet, x_quotient
 from thetafuchs.numerics import SeededGrid, tau_grid
 
 
@@ -83,7 +83,7 @@ def test_quintic_evaluates_each_newton_iterate_once(monkeypatch):
         return theta_jet(tau, scale, order)
 
     iv._rhs_and_slope.cache_clear()
-    monkeypatch.setattr(iv, "theta_jet", counting)
+    monkeypatch.setattr(jets, "theta_jet", counting)
     for a in (0.01, 0.3 + 0.2j, 1.5 + 0.5j):  # 1.5+0.5j continues a path
         taus.clear()
         sol = iv.quintic_solve(a)

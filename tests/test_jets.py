@@ -3,11 +3,13 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from thetafuchs import jets
 from thetafuchs import theta_eta as th
 from thetafuchs.ddnum import CDD
 from thetafuchs.jets import Jet, theta_jet
-from thetafuchs.numerics import fd_jet, tau_grid
+from thetafuchs.numerics import NumericsError, fd_jet, tau_grid
 
 
 def test_jet_orders_against_fd():
@@ -358,3 +360,50 @@ def test_caches_kept_per_tau_stay_bounded():
         info = cache.cache_info()
         assert info.misses > info.maxsize      # many tau went by
         assert info.currsize <= 64, cache
+
+
+# Each uniformizer and factored form of jets as (value route, jet route).
+ROUTES = {
+    "x": (jets.x_quotient, jets.x_burnside),
+    "chi": (jets.chi_burnside, jets.chi_half),
+    "y": (jets.y_burnside_value, jets.y_burnside),
+    "k2": (jets.k_modulus_value, jets.k_modulus),
+    "kprime2": (lambda tau: jets.x_quotient(tau) ** 4, jets.kprime2),
+    "z": (jets.z_fermat8_value, jets.z_fermat8),
+    "lambda": (jets.lambda_mixed_value, jets.lambda_mixed),
+    "J": (lambda tau: jets.octahedral_j(jets.chi_burnside(tau)),
+          jets.j_invariant),
+    "quintic_rhs": (jets.modular_quintic_rhs, jets.modular_quintic_rhs_jet),
+    "x4_minus_1": (jets.x4_minus_1,
+                   lambda tau, order: -jets.k_modulus(tau, order) ** 2),
+}
+
+
+@pytest.mark.parametrize("name", ROUTES)
+def test_value_and_jet_routes_agree(name):
+    value, jet = ROUTES[name]
+    taus = tau_grid(12, seed=23, im_range=(0.4, 2.5))
+    for tau in taus:
+        v = value(tau)
+        assert type(v) is complex, name
+        d0 = jet(tau, 3).d[0]
+        assert abs(v - d0) <= 1e-14 * abs(d0), (name, tau)
+    for tau in taus[:2]:
+        dd = CDD.from_complex(tau)
+        vd, jd = value(dd), jet(dd, 3)
+        assert isinstance(vd, CDD) and isinstance(jd.d[0], CDD), name
+        assert abs((vd - jd.d[0]).to_complex()) <= 1e-28 * abs(vd), (name, tau)
+    for bad in (0.3 - 0.2j, 0.3 + 0j, complex(math.nan, 1.0),
+                complex(0.3, math.nan)):
+        with pytest.raises(NumericsError):
+            value(bad)
+
+
+def test_octahedral_factors_are_the_forms_they_factor():
+    # away from the cusp, where the plain forms keep their digits
+    for tau in tau_grid(8, seed=29, im_range=(0.4, 1.2)):
+        x = jets.x_quotient(tau)
+        num, den = jets.octahedral_factors(tau)
+        assert abs(num - (x ** 8 + 14.0 * x ** 4 + 1.0)) <= 1e-12 * abs(num)
+        assert abs(den - (x ** 5 - x)) <= 1e-12 * abs(den)
+        assert abs(jets.x4_minus_1(tau) - (x ** 4 - 1.0)) <= 1e-12

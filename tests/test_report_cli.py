@@ -393,13 +393,30 @@ def _fresh_modules(code: str) -> set:
 
 
 def test_imports_load_only_what_a_command_runs():
-    # the benchmark's set-up imports: no dataclass or typing machinery, and
-    # none of the modules that no set-up call needs
+    # the benchmark's set-up: no dataclass or typing machinery, and none of
+    # the modules that no set-up call needs; the uniformizers that abelian
+    # reads come from jets, without the curve registry or the Q catalogue
     loaded = _fresh_modules("import thetafuchs\n"
-                            "from thetafuchs import abelian, modgroup, theta_eta")
+                            "from thetafuchs import abelian, modgroup, theta_eta\n"
+                            "theta_eta.eta_w_scale()\n"
+                            "modgroup.coset_reps()\n"
+                            "abelian.cover_params(+1)\n"
+                            "abelian.cover_params(-1)")
     assert not loaded & {"dataclasses", "inspect", "typing",
                          "thetafuchs.inversion", "thetafuchs.polygons",
-                         "thetafuchs.cli", "thetafuchs.report"}
+                         "thetafuchs.cli", "thetafuchs.report",
+                         "thetafuchs.curves", "thetafuchs.fuchsian"}
+    # invert, quintic and exact-values read chi, x and J from jets as well
+    for argv in (["invert", "--value", "0.5,0.3"], ["quintic", "--a", "0.3,0.2"],
+                 ["exact-values"]):
+        loaded = _fresh_modules(
+            "import contextlib, io\n"
+            "from thetafuchs import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0")
+        assert "thetafuchs.inversion" in loaded
+        assert not loaded & {"thetafuchs.curves", "thetafuchs.fuchsian",
+                             "thetafuchs.abelian", "thetafuchs.polygons"}
     # eval theta loads the theta series and what it stands on, nothing else
     loaded = _fresh_modules(
         "import contextlib, io\n"
