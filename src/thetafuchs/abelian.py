@@ -318,12 +318,7 @@ def metric_density(model: str, psi1: complex, psi2: complex,
 
 def burnside_x_density(x: complex) -> MetricSample:
     """Half-plane metric density on the x-plane of the genus-2 curve."""
-    x = complex(x)
-    s = cmath.sqrt(x ** 5 - x)
-    c = cmath.sqrt(1j / math.pi)
-    psi1 = c * s * el.ellip_Kprime(x * x)
-    psi2 = 1j * c * s * el.ellip_K(x * x)
-    return metric_density("half_plane", psi1, psi2, x)
+    return metric_density("half_plane", *el.burnside_psi_w(x), complex(x))
 
 
 def liouville_residual(x: complex, h: float | None = None) -> float:

@@ -60,6 +60,15 @@ def ellip_Kprime(k: complex) -> complex:
     return ellip_K(cmath.sqrt(1.0 - complex(k) ** 2))
 
 
+def burnside_psi_w(x: complex):
+    """The weighted Psi pair sqrt(i/pi) sqrt(x^5 - x) (K'(x^2), i K(x^2)) on
+    the x-plane of y^2 = x^5 - x, whose square matches d/dtau x(tau)."""
+    x = complex(x)
+    s = cmath.sqrt(x ** 5 - x)
+    c = cmath.sqrt(1j / math.pi)
+    return c * s * ellip_Kprime(x * x), 1j * c * s * ellip_K(x * x)
+
+
 def hyp2f1_half(z: complex) -> complex:
     """2F1(1/2, 1/2; 1 | z) = (2/pi) K(sqrt(z)), principal branch."""
     z = complex(z)

@@ -394,10 +394,7 @@ def psi(family: str, point):
         return ((2.0 / math.pi) * s * el.ellip_K(x * x),
                 (2.0 / math.pi) * s * el.ellip_Kprime(x * x))
     if family == "burnside_x_w":
-        x = complex(point)
-        s = cmath.sqrt(x ** 5 - x)
-        c = cmath.sqrt(1j / math.pi)
-        return (c * s * el.ellip_Kprime(x * x), 1j * c * s * el.ellip_K(x * x))
+        return el.burnside_psi_w(point)
     if family == "legendre":
         tau = check_tau(point)
         phi1 = (math.pi / 2.0) * th.theta3(tau) ** 2

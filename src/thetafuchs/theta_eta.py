@@ -47,10 +47,11 @@ _MAX_LINEAR_TERMS = 512   # sums with exponents linear in n
 # jets._eta_jet, keyed (sigma, order); and abelian._cover_alpha, keyed
 # (tau, sign).  A Fuchsian tau needs at most 7 _quad_jets keys and a direct
 # quintic 12; a quintic that continues along a path needs more, but uses each
-# key within a few steps, and an inversion of chi sums the series once at each
-# of its 24 candidates.  With 64 entries the hits and misses equal those of a
-# 4096-entry cache on every verify suite and benchmark workload, and memory
-# stays flat however many tau go by.  The order stays in every key: passes of
+# key within a few steps, and an inversion of chi sums the series at only a
+# few of its 24 candidates (4 for a generic A: the anchor, the best and a pair
+# that ties).  With 64 entries the hits and misses equal those of a 4096-entry
+# cache on every verify suite and benchmark workload, and memory stays flat
+# however many tau go by.  The order stays in every key: passes of
 # different orders stop at different terms, so even their values may differ
 # in the last bit.
 JET_CACHE_SIZE = 64

@@ -1,10 +1,13 @@
+import cmath
 import math
 import time
 
+from thetafuchs import elliptic as el
 from thetafuchs import inversion as iv
 from thetafuchs import jets
-from thetafuchs.jets import chi_burnside, theta_jet, x_quotient
-from thetafuchs.numerics import SeededGrid, tau_grid
+from thetafuchs.jets import chi_burnside, octahedral_j, theta_jet, x_quotient
+from thetafuchs.modgroup import coset_reps, gamma4_reduce, mobius
+from thetafuchs.numerics import TOL, NumericsError, SeededGrid, tau_grid
 
 
 def test_round_trip():
@@ -142,3 +145,138 @@ def test_quintic_seeded_batch_runtime():
         assert sol.vieta_residual < 1e-9
         assert max(sol.theta_residuals) < 1e-10
     assert time.monotonic() - start < 10.0
+
+
+# ---------------------------------------------------------------------------
+# invert_chi against the 24-evaluation search it replaces
+
+
+def _chi_candidates(tau_prime):
+    return [gamma4_reduce(mobius(rep, 2.0 * tau_prime))[0]
+            for rep in coset_reps()]
+
+
+def _tau_prime(a):
+    m = a * a
+    m2 = m * m
+    if m2.imag == 0.0 and (m2.real >= 1.0 or m2.real <= 0.0):
+        m *= cmath.exp(5e-15j)
+    return 1j * el.ellip_K(m) / el.ellip_Kprime(m)
+
+
+def _reference_invert(a):
+    """chi at all 24 candidates, ranked by (|chi - A|, index)."""
+    a = complex(a)
+    if iv._is_branch_point(a):
+        return iv.BranchPointResult(a, "oo")
+    tau_prime = _tau_prime(a)
+    if tau_prime.imag <= 0:
+        raise NumericsError(f"inversion ratio left the half-plane: {tau_prime}")
+    ranked = []
+    for index, (rep, point) in enumerate(zip(coset_reps(),
+                                             _chi_candidates(tau_prime))):
+        try:
+            residual = abs(iv.chi_burnside(point) - a)
+        except NumericsError:
+            residual = math.inf
+        ranked.append((residual, index, point, rep))
+    ranked.sort(key=lambda item: item[:2])
+    residual, _, point, rep = ranked[0]
+    if residual > TOL.root_tol:
+        raise NumericsError(f"inversion failed: best residual {residual:.3e}")
+    return iv.InversionResult(point, tuple(item[2] for item in ranked),
+                              residual, rep,
+                              abs(el.klein_j(point) - octahedral_j(a)))
+
+
+def _outcome(fn, a):
+    try:
+        return repr(fn(a))
+    except NumericsError as exc:
+        return f"NumericsError: {exc}"
+
+
+def _reference_values():
+    gen = SeededGrid(24)
+    values = [complex(-1.6 + 3.2 * gen.uniform(), -1.6 + 3.2 * gen.uniform())
+              for _ in range(300)]
+    for radius in (0.015, 0.05):
+        values += [radius * cmath.exp(2j * math.pi * (k + 0.3) / 40)
+                   for k in range(40)]
+    # fixed points of octahedral rotations (edge midpoints, face centres),
+    # where candidates tie
+    r = math.sqrt(2.0 - math.sqrt(3.0))
+    centres = []
+    for k in range(4):
+        w = cmath.exp(1j * math.pi * (2 * k + 1) / 4)
+        centres += [(iv.SQRT2 - 1.0) * 1j ** k, (iv.SQRT2 + 1.0) * 1j ** k,
+                    r * w, w / r, w]
+    for centre in centres:
+        for e in range(-15, -2):
+            for direction in (1.0, cmath.exp(0.7j)):
+                a = centre + 10.0 ** e * direction
+                if abs(a.real) != abs(a.imag):
+                    values.append(a)
+    return values
+
+
+def test_octahedral_table_maps_the_anchor_to_every_candidate():
+    for tau in tau_grid(32, seed=5, im_range=(0.3, 1.5)):
+        values = [chi_burnside(c) for c in _chi_candidates(tau)]
+        for (p, q, r, s), value in zip(iv._OCTAHEDRAL, values):
+            predicted = (p * values[0] + q) / (r * values[0] + s)
+            assert abs(predicted - value) <= 1e-12 * abs(value)
+
+
+def test_invert_chi_matches_the_24_evaluation_search():
+    values = _reference_values()
+    assert len(values) > 800
+    for a in values:
+        assert _outcome(iv.invert_chi, a) == _outcome(_reference_invert, a), a
+
+
+def test_invert_chi_evaluates_chi_four_times_at_most(monkeypatch):
+    points = []
+
+    def counting(tau):
+        points.append(tau)
+        return chi_burnside(tau)
+
+    monkeypatch.setattr(iv, "chi_burnside", counting)
+    gen = SeededGrid(3)
+    for _ in range(40):
+        a = complex(-1.6 + 3.2 * gen.uniform(), -1.6 + 3.2 * gen.uniform())
+        points.clear()
+        iv.invert_chi(a)
+        # the anchor, the best candidate, and the pair iA, -iA (rotations of
+        # the solution about the axis 0-oo), whose residuals are both
+        # sqrt(2)|A|, so round-off orders them
+        assert len(points) <= 4
+        assert len(set(points)) == len(points)
+
+
+def test_invert_chi_re_anchors_where_chi_raises(monkeypatch):
+    for a, failing in ((0.37 + 0.21j, 1), (-0.8 + 1.1j, 1), (1.3 - 0.2j, 3)):
+        bad = _chi_candidates(_tau_prime(a))[:failing]
+
+        def raising(tau, bad=bad):
+            if tau in bad:
+                raise NumericsError("forced")
+            return chi_burnside(tau)
+
+        monkeypatch.setattr(iv, "chi_burnside", raising)
+        result = iv.invert_chi(a)
+        assert repr(result) == repr(_reference_invert(a))
+        assert result.orbit[-failing:] == tuple(bad)
+
+
+def test_invert_chi_on_the_diagonals():
+    # A^4 is exactly real and negative at t(+-1 +- i)
+    for t in (0.3, 0.5, 0.9, 1.3):
+        for a in (complex(t, t), complex(t, -t), complex(-t, t),
+                  complex(-t, -t)):
+            res = iv.invert_chi(a)
+            assert res.residual < 1e-13
+            assert res.j_residual < 1e-13
+            assert abs(chi_burnside(res.tau0) - a) < 1e-13
+            assert repr(res) == repr(_reference_invert(a))

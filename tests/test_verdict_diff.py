@@ -38,7 +38,7 @@ def test_same_tree_shows_no_difference(monkeypatch, capsys):
 def test_point_commands_cover_every_answer():
     cases = vd.point_cases()
     assert ("exact-values",) in cases
-    assert sum(c[0] == "invert" for c in cases) == 8
+    assert sum(c[0] == "invert" for c in cases) == 10
     assert sum(c[0] == "quintic" for c in cases) == 6
     for fn in ("theta", "k"):
         assert sum(c[:2] == ("eval", fn) for c in cases) == 6
