@@ -20,55 +20,18 @@ from . import theta_eta as th
 from .jets import (chi_burnside, k_modulus_value, octahedral_factors,
                    octahedral_j, x_quotient, y_burnside_value, z_fermat8_value)
 from .numerics import NumericsError, check_tau, max_residual
+from .numerics import POLY_X as _X, POLY_Y as _Y
 
 SQRT2 = math.sqrt(2.0)
 _PUNCTURE_BOUND = 1e4
 
 
 # ---------------------------------------------------------------------------
-# Exact bivariate polynomials as {(i, j): int} maps
-
-
-def p_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) + v
-        if out[k] == 0:
-            del out[k]
-    return out
-
-
-def p_scale(c, a):
-    return {k: c * v for k, v in a.items()}
-
-
-def p_sub(a, b):
-    return p_add(a, p_scale(-1, b))
-
-
-def p_mul(a, b):
-    out = {}
-    for (i1, j1), v1 in a.items():
-        for (i2, j2), v2 in b.items():
-            k = (i1 + i2, j1 + j2)
-            out[k] = out.get(k, 0) + v1 * v2
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def p_pow(a, n):
-    out = {(0, 0): 1}
-    for _ in range(n):
-        out = p_mul(out, a)
-    return out
+# Exact bivariate polynomials as {(i, j): int} maps (numerics.Poly)
 
 
 def p_eval(poly, x, y):
     return sum(c * x ** i * y ** j for (i, j), c in poly.items())
-
-
-_X = {(1, 0): 1}
-_Y = {(0, 1): 1}
-_ONE = {(0, 0): 1}
 
 
 class CurveSpec(namedtuple("CurveSpec",
@@ -184,28 +147,17 @@ def _poly_hyper(coeffs):
 
 
 def _poly_kl3():
-    diff = p_sub(_X, _Y)
-    f1 = p_sub(p_pow(_X, 3), _X)
-    f2 = p_sub(p_pow(_Y, 3), _Y)
-    return p_sub(p_pow(diff, 4), p_scale(16, p_mul(f1, f2)))
+    return (_X - _Y) ** 4 - 16 * ((_X ** 3 - _X) * (_Y ** 3 - _Y))
 
 
 def _poly_kl5():
-    diff = p_sub(_X, _Y)
-    f1 = p_sub(p_pow(_X, 3), _X)
-    f2 = p_sub(p_pow(_Y, 3), _Y)
-    bracket = p_sub(p_scale(4, p_pow(p_add(p_mul(_X, _Y), _ONE), 2)),
-                    p_pow(diff, 2))
-    return p_sub(p_pow(diff, 6), p_scale(64, p_mul(p_mul(f1, f2), bracket)))
+    bracket = 4 * (_X * _Y + 1) ** 2 - (_X - _Y) ** 2
+    return (_X - _Y) ** 6 - 64 * ((_X ** 3 - _X) * (_Y ** 3 - _Y) * bracket)
 
 
 def _poly_kappa_mu():
-    diff = p_sub(_X, _Y)
-    f1 = p_sub(p_pow(_X, 2), _X)
-    f2 = p_sub(p_pow(_Y, 2), _Y)
-    bracket = p_add(p_sub(p_scale(2, p_mul(_X, _Y)), p_add(_X, _Y)),
-                    p_scale(2, _ONE))
-    return p_sub(p_pow(diff, 4), p_scale(128, p_mul(p_mul(f1, f2), bracket)))
+    bracket = 2 * (_X * _Y) - (_X + _Y) + 2
+    return (_X - _Y) ** 4 - 128 * ((_X ** 2 - _X) * (_Y ** 2 - _Y) * bracket)
 
 
 def _poly_modular3():

@@ -14,15 +14,16 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
+from functools import lru_cache
 
 from . import elliptic as el
 from . import theta_eta as th
 from .ddnum import CDD
 # the uniformizers are also this module's public names
 from .jets import (Jet, chi_half, j_invariant, k_modulus, kprime2,
-                   lambda_mixed, octahedral_factors, theta_jet, x4_minus_1,
-                   x_burnside, y_burnside, z_fermat8)
-from .numerics import NumericsError, check_tau, max_residual
+                   lambda_mixed, octahedral_factors, psi1, psi1_value,
+                   theta_jet, x4_minus_1, x_burnside, y_burnside, z_fermat8)
+from .numerics import POLY_X, NumericsError, check_tau, max_residual
 
 _CRITICAL_XTAU = 1e-6
 # A double residual above this is evaluated again in double-double: a tenth
@@ -52,26 +53,28 @@ def schwarzian_jet(xfun, tau: complex) -> SchwarzianSample:
     return SchwarzianSample(tau, j.d[0], j.d[1], j.d[2], j.d[3], sch, mero)
 
 
-def psi1_tau(tau, order=3) -> Jet:
-    """Gamma(4) weight-2 solution 2i sqrt(i pi) eta^3(2 tau)/theta3(tau)."""
-    e2 = theta_jet(tau, (2, 0), order).eta
-    t3 = theta_jet(tau, (1, 0), order).t3
-    return (2j * cmath.sqrt(1j * math.pi)) * e2.pow(3) / t3
-
-
 # ---------------------------------------------------------------------------
 # Q catalogue
 
 
-# evaluator: x -> Q(x); uniformizer: (tau, order) -> Jet, when known;
-# residual: (tau, jet) -> float, a stable override.
+# evaluator: x -> Q(x); uniformizer: (tau, order) -> Jet; residual: (tau, jet)
+# -> float, a stable override; same_as: the row that an exact row repeats.
 QFunction = namedtuple("QFunction", "id evaluator singular_points "
-                       "accessory_zero uniformizer residual notes",
-                       defaults=(None, None, ""))
+                       "accessory_zero uniformizer residual notes same_as",
+                       defaults=(None, "", None))
 
 
-def q_burnside(x: complex) -> complex:
-    return -0.5 * (x ** 8 + 14.0 * x ** 4 + 1.0) / (x ** 5 - x) ** 2
+def _q(nd):
+    """Q = -N/(2D) from nd(x) -> (N, D), a form written for any ring and kept
+    as q.nd: complex and CDD x give Q, numerics.Poly x gives N and D exactly."""
+    def q(x):
+        n, d = nd(x)
+        return -0.5 * n / d
+    q.nd = nd
+    return q
+
+
+q_burnside = _q(lambda x: (x ** 8 + 14 * x ** 4 + 1, (x ** 5 - x) ** 2))
 
 
 def q_burnside_dx(x: complex) -> complex:
@@ -91,10 +94,24 @@ def q_bruns(j: complex) -> complex:
 
 
 def q_fermat(n: int):
-    def q(z: complex) -> complex:
-        return -0.5 * (z ** (2 * n) + (n * n - 2.0) * z ** n + 1.0) \
-            / (z * (z ** n - 1.0)) ** 2
-    return q
+    """Q of the Fermat curve z^n + w^n = 1."""
+    return _q(lambda z: (z ** (2 * n) + (n * n - 2) * z ** n + 1,
+                         (z * (z ** n - 1)) ** 2))
+
+
+def q_hyperelliptic(p):
+    """The all-parabolic Q of y^2 = P(z), P of degree 2g + 1 with integer
+    coefficients p, degree 0 first: -(P'^2 - P P'' - 2g z^(2g-1) P)/(2 P^2)."""
+    g = (len(p) - 2) // 2
+
+    def nd(z):
+        p0 = p1 = p2 = 0    # P, P' and P'' by Horner's rule
+        for c in reversed(p):
+            p2 = p2 * z + 2 * p1
+            p1 = p1 * z + p0
+            p0 = p0 * z + c
+        return p1 * p1 - p0 * p2 - 2 * g * z ** (2 * g - 1) * p0, p0 * p0
+    return _q(nd)
 
 
 def q_heun(k: complex) -> complex:
@@ -108,33 +125,8 @@ def q_lambda_mixed(lam: complex) -> complex:
     return -0.5 * num / den
 
 
-def q_parabolic(branch_points, accessory=None):
-    """The all-parabolic family for y^2 = prod (x - e_k), odd point count."""
-    e = tuple(complex(v) for v in branch_points)
-    g = (len(e) - 1) // 2
-    if len(e) != 2 * g + 1:
-        raise NumericsError("parabolic family needs an odd number of points")
-
-    def q(x: complex) -> complex:
-        s = sum(1.0 / (x - ek) ** 2 for ek in e)
-        prod = 1.0
-        for ek in e:
-            prod *= (x - ek)
-        acc = accessory(x) if accessory else 0.0
-        return -0.5 * (s - (2.0 * g * x ** (2 * g - 1) + acc) / prod)
-    return q
-
-
-def q_whittaker(branch_points, accessory=None):
-    """Whittaker's -3/8 variant on the same pole set."""
-    base = q_parabolic(branch_points, accessory)
-
-    def q(x: complex) -> complex:
-        return 0.75 * base(x)  # -3/8 from -1/2
-    return q
-
-
 _EIGHTH_ROOTS = tuple(cmath.exp(2j * math.pi * k / 8.0) for k in range(8))
+_Z9_MINUS_Z = (0, -1, 0, 0, 0, 0, 0, 0, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +135,10 @@ _EIGHTH_ROOTS = tuple(cmath.exp(2j * math.pi * k / 8.0) for k in range(8))
 # cancellation.  The factored forms below rebuild them from single theta
 # series; the residual is then assembled as |{x,tau} - Q x_tau^2| / |x_tau|^2,
 # which is the same number evaluated where it is well conditioned.  Each
-# factored form is one of the separately verified corpus identities.
+# factored form is one of the separately verified corpus identities.  They
+# keep the double-double refinements few: without the burnside, fermat8 and
+# lambda_mixed forms, fuchsian-sweep refines 495 times per 500 tau at seed 3,
+# not 219.
 
 
 def _fused_residual(j: Jet, q_value: complex) -> float:
@@ -188,27 +183,6 @@ def _residual_legendre(tau: complex, j: Jet) -> float:
     return _fused_residual(j, q_val)
 
 
-# ---------------------------------------------------------------------------
-# Double-double refinement.  The fused residual vanishes identically in tau,
-# so what a double evaluation reports is rounding: each derivative of the
-# series jets is rounded on its own, and near the cusp, where [x,tau] and
-# Q(x) both pass 1e6, the assembly cancels those roundings against each
-# other.  The same evaluation with a CDD tau runs the series, the jets and
-# the assembly in ~32-digit arithmetic, which pushes that rounding about
-# sixteen orders down, far below any tolerance.
-
-
-def residual_dd(qid: str, tau: complex) -> float:
-    """|[x,tau] - Q(x)| from the catalogue's own x and Q in double-double.
-
-    A CDD tau carries the whole evaluation (series, jets, uniformizer and Q)
-    into double-double arithmetic; the scaled arguments 2^k tau stay exact.
-    """
-    qf = q_catalogue(qid)
-    j = qf.uniformizer(CDD.from_complex(check_tau(tau)), 3)
-    return _fused_residual(j, qf.evaluator(j.d[0]))
-
-
 _CATALOGUE = {
     "burnside": QFunction(
         "burnside", q_burnside, (0, 1, -1, 1j, -1j), True, x_burnside,
@@ -225,14 +199,16 @@ _CATALOGUE = {
         "level-one equation in Klein's J"),
     "fermat4": QFunction(
         "fermat4", q_fermat(4), (0,) + tuple(1j ** k for k in range(4)),
-        True, x_burnside, _residual_burnside, "z^4 + w^4 = 1"),
+        True, x_burnside, None, "z^4 + w^4 = 1, exactly burnside's Q",
+        "burnside"),
     "fermat8": QFunction(
         "fermat8", q_fermat(8), (0,) + _EIGHTH_ROOTS, True, z_fermat8,
         _residual_fermat8, "z^8 + w^8 = 1"),
     "z9_parabolic": QFunction(
-        "z9_parabolic", q_parabolic((0,) + _EIGHTH_ROOTS), (0,) + _EIGHTH_ROOTS,
-        True, z_fermat8, _residual_fermat8,
-        "y^2 = z^9 - z in the explicit parabolic form"),
+        "z9_parabolic", q_hyperelliptic(_Z9_MINUS_Z), (0,) + _EIGHTH_ROOTS,
+        True, z_fermat8, None,
+        "y^2 = z^9 - z in the explicit parabolic form, exactly fermat8's Q",
+        "fermat8"),
     "heun": QFunction(
         "heun", q_heun, (0, 1, -1), True, k_modulus, None,
         "k^2 = 1 - z^n tower, Heun form in k"),
@@ -251,46 +227,92 @@ def q_catalogue(qid: str) -> QFunction:
     return _CATALOGUE[qid]
 
 
-def verify_fuchsian(qid: str, taus) -> dict:
-    """Max |[x,tau] - Q(x)| over the sample; critical points are skipped.
+# ---------------------------------------------------------------------------
+# Exact rows.  fermat4 repeats burnside's x and Q, and z9_parabolic fermat8's
+# z and Q: the parabolic Q of y^2 = z^9 - z is -(z^16 + 62 z^8 + 1)/(2 P^2).
+# A residual at tau would repeat the partner's to every digit, so each row
+# checks its identity instead, once and in integer arithmetic.
 
-    Residuals that come out above a tenth of the usual tolerance are
-    re-evaluated in double-double arithmetic.  The residual vanishes
-    identically in tau, so a large double value is the rounding of the
-    series jets and of the assembly; near the cusp, where both [x,tau] and Q
-    pass 1e6, plain doubles lose the cancellation and the extended
-    evaluation, series included, restores it.
-    """
+
+@lru_cache(maxsize=None)
+def exact_mismatch(qid: str) -> float:
+    """0.0 when the exact row qid shares its partner's uniformizer and Q; else
+    the largest |coefficient| of N1 D2 - N2 D1 over the integer polynomials,
+    at least 1 (inf for another uniformizer)."""
     qf = q_catalogue(qid)
-    if qf.uniformizer is None:
-        raise NumericsError(f"{qid} has no registered uniformizer")
-    worst = 0.0
-    skipped = 0
-    count = 0
+    mate = q_catalogue(qf.same_as)
+    if qf.uniformizer is not mate.uniformizer:
+        return math.inf
+    n1, d1 = qf.evaluator.nd(POLY_X)
+    n2, d2 = mate.evaluator.nd(POLY_X)
+    return float(max(map(abs, (n1 * d2 - n2 * d1).values()), default=0))
+
+
+# ---------------------------------------------------------------------------
+# One refinement rule.  A check reads its uniformizer's order-3 jet at each
+# tau, skips the tau if |x_tau| < _CRITICAL_XTAU, and evaluates its rows,
+# (tau, jet) -> {row: residual}, in doubles.  If any row exceeds
+# _REFINE_ABOVE, residual_dd evaluates them all again with tau as a CDD,
+# which carries the series, jets and assembly into double-double.  The
+# residuals vanish identically, so a large double value is rounding: near
+# the cusp, where [x,tau] and Q pass 1e6, the assembly cancels the roundings
+# of the single derivatives, and ~32 digits push them below any tolerance.
+Check = namedtuple("Check", "uniformizer rows rows_dd")
+
+
+def residual_dd(check: Check, tau) -> dict:
+    """The check's rows in double-double, at tau as a CDD."""
+    dd = CDD.from_complex(tau)
+    return check.rows_dd(dd, check.uniformizer(dd, 3))
+
+
+def _sweep(check: Check, taus):
+    """(worst of each row, skipped, samples) over taus, a NaN kept."""
+    worst = {}
+    skipped = count = 0
     for tau in taus:
         count += 1
-        j = qf.uniformizer(tau, 3)
+        j = check.uniformizer(tau, 3)
         if abs(j.d[1]) < _CRITICAL_XTAU:
             skipped += 1
             continue
-        if qf.residual is not None:
-            r = qf.residual(tau, j)
-        else:
-            _, mero = brackets_from_jet(j)
-            r = abs(mero - qf.evaluator(j.d[0]))
-        if r > _REFINE_ABOVE:
-            r = residual_dd(qid, tau)
-        worst = max_residual((worst, r))
-    return {"id": qid, "max_residual": worst, "skipped": skipped,
+        rows = check.rows(tau, j)
+        if any(r > _REFINE_ABOVE for r in rows.values()):
+            rows = residual_dd(check, tau)
+        for name, r in rows.items():
+            worst[name] = max_residual((worst.get(name, 0.0), r))
+    return worst, skipped, count
+
+
+def catalogue_check(qf: QFunction) -> Check:
+    """A catalogue row: its fused residual in doubles, or |[x,tau] - Q(x)|;
+    in double-double the plain Q, fused, at about half the factored forms'
+    cost there (0.5 against 1.0 ms a burnside refinement, 2-vCPU host)."""
+    qid, q = qf.id, qf.evaluator
+    double = qf.residual or (
+        lambda tau, j: abs(brackets_from_jet(j)[1] - q(j.d[0])))
+    return Check(qf.uniformizer, lambda tau, j: {qid: double(tau, j)},
+                 lambda tau, j: {qid: _fused_residual(j, q(j.d[0]))})
+
+
+def verify_fuchsian(qid: str, taus) -> dict:
+    """Max |[x,tau] - Q(x)| over the sample, by the one refinement rule.
+
+    The exact rows fermat4 and z9_parabolic evaluate nothing at tau: every
+    sample reads exact_mismatch, 0.0 while the row's Q is its partner's.
+    """
+    qf = q_catalogue(qid)
+    if qf.same_as:
+        count = sum(1 for _ in taus)
+        return {"id": qid, "max_residual": exact_mismatch(qid) if count else 0.0,
+                "skipped": 0, "samples": count}
+    worst, skipped, count = _sweep(catalogue_check(qf), taus)
+    return {"id": qid, "max_residual": worst.get(qid, 0.0), "skipped": skipped,
             "samples": count}
 
 
 # ---------------------------------------------------------------------------
 # Change of variable law
-
-
-def _mero_from(jet: Jet) -> complex:
-    return brackets_from_jet(jet)[1]
 
 
 def _change_of_var_rows(tau, xj: Jet) -> dict:
@@ -299,11 +321,11 @@ def _change_of_var_rows(tau, xj: Jet) -> dict:
     Generic over complex and CDD tau, like the catalogue rows.
     """
     x = xj.d[0]
-    mero_x = _mero_from(xj)
+    _, mero_x = brackets_from_jet(xj)
     rows = {}
 
     zj = kprime2(tau, 3)  # z = x^4 as its own theta expression
-    mero_z = _mero_from(zj)
+    _, mero_z = brackets_from_jet(zj)
     z_x = 4.0 * x ** 3
     mero_zx = -15.0 / (32.0 * x ** 8)
     rows["z_x4_law"] = abs(mero_z - (mero_zx + mero_x / z_x ** 2))
@@ -311,14 +333,14 @@ def _change_of_var_rows(tau, xj: Jet) -> dict:
 
     # Mobius change w = (x+1)/(x-1): [w,x] = 0, w_x = -2/(x-1)^2
     wj = (xj + 1.0) / (xj - 1.0)
-    mero_w = _mero_from(wj)
+    _, mero_w = brackets_from_jet(wj)
     w_x = -2.0 / (x - 1.0) ** 2
     rows["mobius"] = abs(mero_w - mero_x / w_x ** 2)
 
     # hyperelliptic partner y(tau), bracket via implicit derivatives
     yj = y_burnside(tau, 3)
     y = yj.d[0]
-    mero_y = _mero_from(yj)
+    _, mero_y = brackets_from_jet(yj)
     p = 5.0 * x ** 4 - 1.0
     dp = 20.0 * x ** 3
     ddp = 60.0 * x * x
@@ -332,47 +354,22 @@ def _change_of_var_rows(tau, xj: Jet) -> dict:
     return rows
 
 
+_CHANGE_OF_VAR = Check(x_burnside, _change_of_var_rows, _change_of_var_rows)
+
+
 def change_of_var_check(taus) -> dict:
     """Residuals of [z,tau] = [z,x] + Q(x)/z_x^2 for three instructive pairs.
 
     z = x^4 uses the closed forms [z,x] = -15/(32 x^8), z_x = 4 x^3; the
     Mobius pair has [z,x] = 0; the hyperelliptic partner y recovers its
-    bracket from implicit differentiation of y^2 = x^5 - x.  A tau at which
-    any row exceeds _REFINE_ABOVE in doubles is evaluated again in
-    double-double, the rule of verify_fuchsian; near y_x = 0 (tau about
-    0.7352559i) the pair lemma loses its digits to rounding alone.
+    bracket from implicit differentiation of y^2 = x^5 - x.  The four rows
+    follow the one refinement rule of verify_fuchsian, refined together:
+    near y_x = 0 (tau about 0.7352559i) the pair lemma loses its digits to
+    rounding alone.
     """
-    out = {"z_x4_law": 0.0, "z_x4_is_legendre": 0.0, "mobius": 0.0,
-           "pair_lemma": 0.0, "skipped": 0}
-    for tau in taus:
-        xj = x_burnside(tau, 3)
-        if abs(xj.d[1]) < _CRITICAL_XTAU:
-            out["skipped"] += 1
-            continue
-        rows = _change_of_var_rows(tau, xj)
-        if any(r > _REFINE_ABOVE for r in rows.values()):
-            dd = CDD.from_complex(check_tau(tau))
-            rows = _change_of_var_rows(dd, x_burnside(dd, 3))
-        for name, r in rows.items():
-            out[name] = max_residual((out[name], r))
-    return out
-
-
-def schwarzian_cocycle_check(tau: complex) -> float:
-    """Two-step x -> z -> w application against the direct [w,tau]."""
-    xj = x_burnside(tau, 3)
-    x = xj.d[0]
-    zj = kprime2(tau, 3)            # z = x^4
-    wj = (zj + 1.0) / (zj - 1.0)    # w = (z+1)/(z-1)
-    mero_w = _mero_from(wj)
-    mero_x = _mero_from(xj)
-    # step 1: [z,x] closed form; step 2: [w,z] = 0 (Mobius)
-    z = zj.d[0]
-    mero_zx = -15.0 / (32.0 * x ** 8)
-    z_x = 4.0 * x ** 3
-    mero_z = mero_zx + mero_x / z_x ** 2
-    w_z = -2.0 / (z - 1.0) ** 2
-    return abs(mero_w - mero_z / w_z ** 2)
+    worst, skipped, _ = _sweep(_CHANGE_OF_VAR, taus)
+    return {**dict.fromkeys(("z_x4_law", "z_x4_is_legendre", "mobius",
+                             "pair_lemma"), 0.0), **worst, "skipped": skipped}
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +398,7 @@ def psi(family: str, point):
         return phi1, -1j * tau * phi1
     if family == "burnside_tau":
         tau = check_tau(point)
-        p1 = psi1_tau(tau, 0).d[0]
+        p1 = psi1_value(tau)
         return p1, tau * p1
     raise KeyError(f"unknown psi family: {family}")
 
@@ -459,7 +456,7 @@ def modular_ode_residuals(tau: complex) -> dict:
                                   * base.eta.d[0] ** 24)
 
     # weight-2 elimination pair for the Gamma(4) Psi
-    pj = psi1_tau(tau, 3)
+    pj = psi1(tau, 3)
     xj = x_burnside(tau, 1)
     x = xj.d[0]
     p0, p1, p2, p3 = pj.d[0], pj.d[1], pj.d[2], pj.d[3]

@@ -20,8 +20,9 @@ The closed first-order system
 is not used to build the jets; it checks them, as four rows of
 fuchsian.modular_ode_residuals and in the tests up to order 6.
 
-The uniformizers (x, chi, y, k^2, z, lambda, J) and the factored forms of
-x^4 - 1 and x^5 - x are stated here once, each with a value and a jet route.
+The uniformizers (x, chi, y, k^2, z, lambda, J), the weight-2 Psi1 and the
+factored forms of x^4 - 1 and x^5 - x are stated here once, each with a
+value and a jet route.
 """
 
 from __future__ import annotations
@@ -383,6 +384,11 @@ def _quintic_rhs(t):
     return 16.0 * t(2).eta ** 6 / t(1).t3 ** 6
 
 
+def _psi1(t):
+    """Psi1 = 2i sqrt(i pi) eta^3(2 tau)/theta3, with Psi1^2 = x_tau."""
+    return 2j * cmath.sqrt(1j * cmath.pi) * t(2).eta ** 3 / t(1).t3
+
+
 x_quotient, x_burnside = _routes(_x)
 chi_burnside, chi_half = _routes(_chi)
 y_burnside_value, y_burnside = _routes(_y)
@@ -390,6 +396,7 @@ k_modulus_value, k_modulus = _routes(_k2)
 z_fermat8_value, z_fermat8 = _routes(_z)
 lambda_mixed_value, lambda_mixed = _routes(_lambda)
 modular_quintic_rhs, modular_quintic_rhs_jet = _routes(_quintic_rhs)
+psi1_value, psi1 = _routes(_psi1)
 
 
 def kprime2(tau, order=3) -> Jet:

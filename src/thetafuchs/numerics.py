@@ -1,8 +1,9 @@
 """Shared numerical conventions: tolerances, finite differences, root finding.
 
 Everything here is plain double precision on Python complex scalars, except
-that check_tau also admits a double-double ddnum.CDD point.  NaN or infinite
-intermediate values are treated as errors, never returned as results.
+that check_tau also admits a double-double ddnum.CDD point, and Poly is exact.
+NaN or infinite intermediate values are treated as errors, never returned as
+results.
 """
 
 from __future__ import annotations
@@ -97,6 +98,48 @@ def fd_jet(f, tau: complex, order: int = 1, h: float = 1e-3):
         fine = stencil(k, h / 2.0)
         out.append((4.0 * fine - coarse) / 3.0)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Exact polynomials
+
+
+class Poly(dict):
+    """A polynomial in x and y with exact coefficients, {(i, j): c}, for +,
+    - and * with numbers and ** n; no coefficient is zero."""
+
+    def __add__(self, other):
+        out = Poly(self)
+        for k, v in (other if isinstance(other, Poly) else {(0, 0): other}
+                     ).items():
+            out[k] = out.get(k, 0) + v
+            if not out[k]:
+                del out[k]
+        return out
+
+    def __mul__(self, other):
+        if not isinstance(other, Poly):
+            return Poly({k: other * v for k, v in self.items() if other * v})
+        out = {}
+        for (i1, j1), v1 in self.items():
+            for (i2, j2), v2 in other.items():
+                k = (i1 + i2, j1 + j2)
+                out[k] = out.get(k, 0) + v1 * v2
+        return Poly({k: v for k, v in out.items() if v})
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __sub__(self, other):
+        return self + -1 * other
+
+    def __pow__(self, n: int):
+        out = Poly({(0, 0): 1})
+        for _ in range(n):
+            out = out * self
+        return out
+
+
+POLY_X, POLY_Y = Poly({(1, 0): 1}), Poly({(0, 1): 1})
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,15 @@
 import cmath
+import io
+import json
 import math
+from contextlib import redirect_stdout
 from fractions import Fraction
 
+import pytest
+
+from thetafuchs import cli, jets
 from thetafuchs import fuchsian as fu
-from thetafuchs.jets import Jet, theta_jet
+from thetafuchs.jets import Jet, psi1, theta_jet
 from thetafuchs.numerics import newton_solve, tau_grid
 from thetafuchs.report import RunReport
 
@@ -41,36 +47,49 @@ def test_fermat4_is_burnside_form():
         assert abs(q4(x) - fu.q_burnside(x)) < 1e-12 * abs(fu.q_burnside(x))
 
 
-def test_parabolic_form_equals_fermat8_exactly():
-    # the nine-pole explicit form and the closed n = 8 form agree as rational
-    # functions; checked in exact rational arithmetic on the imaginary axis
-    from fractions import Fraction
+def test_exact_rows_are_identities(monkeypatch):
+    # fermat4 repeats burnside's x and Q, and z9_parabolic fermat8's: the
+    # parabolic Q of y^2 = z^9 - z is the closed Fermat form at n = 8
+    for qid, mate in (("fermat4", "burnside"), ("z9_parabolic", "fermat8")):
+        qf = fu.q_catalogue(qid)
+        assert qf.same_as == mate
+        assert qf.uniformizer is fu.q_catalogue(mate).uniformizer
+        assert fu.exact_mismatch(qid) == 0.0
+    # the parabolic form built from P = z^9 - z, at rational points
+    nd = fu.q_catalogue("z9_parabolic").evaluator.nd
+    for x in (Fraction(1, 3), Fraction(7, 5), Fraction(-4, 9)):
+        num, den = nd(x)
+        assert (num, den) == (x ** 16 + 62 * x ** 8 + 1, (x ** 9 - x) ** 2)
+    # no jet, Q or refinement at any tau: every sample reads 0.0, even at a
+    # tau outside the half-plane
+    misses = jets._quad_jets.cache_info().misses
+    monkeypatch.setattr(fu, "residual_dd", None)
+    for qid in ("fermat4", "z9_parabolic"):
+        res = fu.verify_fuchsian(qid, [-1j, 0.3 + 1.1j])
+        assert res == {"id": qid, "max_residual": 0.0, "skipped": 0,
+                       "samples": 2}
+    assert jets._quad_jets.cache_info().misses == misses
 
-    def fermat8_exact(z: Fraction) -> Fraction:
-        return Fraction(-1, 2) * (z ** 16 + 62 * z ** 8 + 1) / (z * (z ** 8 - 1)) ** 2
 
-    def parabolic_exact(z: Fraction) -> Fraction:
-        # sum over 0 and the eighth roots collapses to rational combinations
-        s = 1 / z ** 2 + (8 * z ** 14 + 56 * z ** 6) / (z ** 8 - 1) ** 2
-        return Fraction(-1, 2) * (s - 8 * z ** 6 / (z ** 8 - 1))
-
-    for z in (Fraction(1, 3), Fraction(7, 5), Fraction(-4, 9)):
-        assert fermat8_exact(z) == parabolic_exact(z)
-
-
-def test_q_parabolic_matches_closed_form_numerically():
-    roots = (0,) + tuple(cmath.exp(2j * math.pi * k / 8) for k in range(8))
-    qp = fu.q_parabolic(roots)
-    qf = fu.q_fermat(8)
-    for z in (0.4 + 0.1j, 1.3 - 0.7j):
-        assert abs(qp(z) - qf(z)) < 1e-10 * abs(qf(z))
-
-
-def test_whittaker_variant_ratio():
-    qw = fu.q_whittaker((0, 1, -1, 1j, -1j))
-    qp = fu.q_parabolic((0, 1, -1, 1j, -1j))
-    z = 0.5 + 0.4j
-    assert abs(qw(z) / qp(z) - 0.75) < 1e-12
+@pytest.mark.parametrize("qid", ["fermat4", "z9_parabolic"])
+def test_exact_row_goes_red_when_its_identity_breaks(qid, monkeypatch):
+    qf = fu.q_catalogue(qid)
+    nd = qf.evaluator.nd
+    # one coefficient moves: z^3 gains 1 in the numerator
+    broken = fu._q(lambda z: (nd(z)[0] + z ** 3, nd(z)[1]))
+    monkeypatch.setitem(fu._CATALOGUE, qid, qf._replace(evaluator=broken))
+    fu.exact_mismatch.cache_clear()
+    try:
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            status = cli.main(["verify", "fuchsian", "--samples", "3"])
+    finally:
+        monkeypatch.undo()
+        fu.exact_mismatch.cache_clear()
+    rows = {c["name"]: c for c in json.loads(buf.getvalue())["checks"]}
+    assert status == 1
+    assert rows[qid]["residual"] >= 1 and rows[qid]["pass"] is False
+    assert all(c["pass"] for name, c in rows.items() if name != qid)
 
 
 def test_change_of_variable_law():
@@ -99,10 +118,6 @@ def test_closed_system_rows():
         for name in ("jacobi_theta2", "jacobi_theta3", "jacobi_theta4",
                      "ramanujan_e2"):
             assert res[name] < 1e-12, (tau, name)
-
-
-def test_schwarzian_cocycle():
-    assert fu.schwarzian_cocycle_check(0.23 + 1.2j) < 1e-9
 
 
 def test_y_side_pole_structure():
@@ -151,7 +166,7 @@ def test_wronskians_constant():
     for tau in (0.2 + 1.1j, 0.4 + 0.9j, 1.3j):
         xj = fu.x_burnside(tau, 1)
         x, x1 = xj.d[0], xj.d[1]
-        p1 = fu.psi1_tau(tau, 1)
+        p1 = psi1(tau, 1)
         w50.append((p1.d[0] * (p1.d[0] + tau * p1.d[1])
                     - tau * p1.d[0] * p1.d[1]) / x1)
         t3 = theta_jet(tau, (1, 0), 1).t3
@@ -192,7 +207,29 @@ def test_log_solution_ode():
 def test_dd_refinement_agrees_with_double():
     for tau in (0.3 + 1.1j, 0.1 + 0.7j, -0.4 + 2.5j):
         for qid in fu.CATALOGUE_IDS:
-            assert fu.residual_dd(qid, tau) < 1e-12, (qid, tau)
+            qf = fu.q_catalogue(qid)
+            if qf.same_as:
+                continue  # an exact row has no residual at tau
+            check = fu.catalogue_check(qf)
+            assert fu.residual_dd(check, tau)[qid] < 1e-12, (qid, tau)
+
+
+def test_every_refinement_passes_through_residual_dd(monkeypatch):
+    # the pair-lemma probe refines the change-of-variable rows, and bruns
+    # next to i refines a catalogue row, both by the one helper
+    seen = []
+    real = fu.residual_dd
+
+    def counted(check, tau):
+        seen.append((check.uniformizer, tau))
+        return real(check, tau)
+
+    monkeypatch.setattr(fu, "residual_dd", counted)
+    probe = 0.7352559285991116j + 0.002 * cmath.exp(0.3j)
+    assert fu.change_of_var_check([probe])["pair_lemma"] < 1e-12
+    assert seen == [(fu.x_burnside, probe)]
+    assert fu.verify_fuchsian("bruns", [1j + 0.002])["max_residual"] < 1e-9
+    assert seen[1:] == [(fu.j_invariant, 1j + 0.002)]
 
 
 def test_bruns_refined_near_orbit_of_i():

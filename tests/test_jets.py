@@ -140,9 +140,9 @@ def test_jet_caches_hold_one_tau(monkeypatch):
     refined = []
     real = fu.residual_dd
 
-    def counted(qid, tau):
-        refined.append(qid)
-        return real(qid, tau)
+    def counted(check, tau):
+        refined.append(tau)
+        return real(check, tau)
 
     monkeypatch.setattr(fu, "residual_dd", counted)
     assert _keys_left_by(lambda: cli._fuchsian_rows()(2.5j)) <= limit

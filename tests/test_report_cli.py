@@ -417,6 +417,16 @@ def test_imports_load_only_what_a_command_runs():
         assert "thetafuchs.inversion" in loaded
         assert not loaded & {"thetafuchs.curves", "thetafuchs.fuchsian",
                              "thetafuchs.abelian", "thetafuchs.polygons"}
+    # verify fuchsian checks its exact rows without the curve registry, and
+    # needs none of the integral, inversion or polygon machinery
+    loaded = _fresh_modules(
+        "import contextlib, io\n"
+        "from thetafuchs import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify', 'fuchsian', '--samples', '2']) == 0")
+    assert "thetafuchs.fuchsian" in loaded
+    assert not loaded & {"thetafuchs.curves", "thetafuchs.abelian",
+                         "thetafuchs.inversion", "thetafuchs.polygons"}
     # eval theta loads the theta series and what it stands on, nothing else
     loaded = _fresh_modules(
         "import contextlib, io\n"
