@@ -47,6 +47,33 @@ def test_fermat4_is_burnside_form():
         assert abs(q4(x) - fu.q_burnside(x)) < 1e-12 * abs(fu.q_burnside(x))
 
 
+def test_parabolic_form_equals_fermat8_exactly():
+    # the nine-pole explicit form and the closed n = 8 form agree as rational
+    # functions; checked in exact rational arithmetic on the real axis
+    def fermat8_exact(z: Fraction) -> Fraction:
+        return Fraction(-1, 2) * (z ** 16 + 62 * z ** 8 + 1) / (z * (z ** 8 - 1)) ** 2
+
+    def parabolic_exact(z: Fraction) -> Fraction:
+        # sum over 0 and the eighth roots collapses to rational combinations
+        s = 1 / z ** 2 + (8 * z ** 14 + 56 * z ** 6) / (z ** 8 - 1) ** 2
+        return Fraction(-1, 2) * (s - 8 * z ** 6 / (z ** 8 - 1))
+
+    # the catalogue's parabolic form, built from P = z^9 - z
+    nd = fu.q_catalogue("z9_parabolic").evaluator.nd
+    for z in (Fraction(1, 3), Fraction(7, 5), Fraction(-4, 9)):
+        assert fermat8_exact(z) == parabolic_exact(z)
+        num, den = nd(z)
+        assert (num, den) == (z ** 16 + 62 * z ** 8 + 1, (z ** 9 - z) ** 2)
+        assert Fraction(-1, 2) * num / den == fermat8_exact(z)
+
+
+def test_q_parabolic_matches_closed_form_numerically():
+    qp = fu.q_catalogue("z9_parabolic").evaluator
+    qf = fu.q_fermat(8)
+    for z in (0.4 + 0.1j, 1.3 - 0.7j):
+        assert abs(qp(z) - qf(z)) < 1e-10 * abs(qf(z))
+
+
 def test_exact_rows_are_identities(monkeypatch):
     # fermat4 repeats burnside's x and Q, and z9_parabolic fermat8's: the
     # parabolic Q of y^2 = z^9 - z is the closed Fermat form at n = 8
@@ -55,11 +82,6 @@ def test_exact_rows_are_identities(monkeypatch):
         assert qf.same_as == mate
         assert qf.uniformizer is fu.q_catalogue(mate).uniformizer
         assert fu.exact_mismatch(qid) == 0.0
-    # the parabolic form built from P = z^9 - z, at rational points
-    nd = fu.q_catalogue("z9_parabolic").evaluator.nd
-    for x in (Fraction(1, 3), Fraction(7, 5), Fraction(-4, 9)):
-        num, den = nd(x)
-        assert (num, den) == (x ** 16 + 62 * x ** 8 + 1, (x ** 9 - x) ** 2)
     # no jet, Q or refinement at any tau: every sample reads 0.0, even at a
     # tau outside the half-plane
     misses = jets._quad_jets.cache_info().misses
