@@ -98,7 +98,7 @@ def _cover_alpha(tau: complex, sign: int):
     par = cover_params(sign)
     w = wp_argument(tau, sign)
     alpha = el.wp_inverse(w, par)
-    _, pv, dv = el._wp_inverse_checked(w, par, True)
+    _, pv, dv = el._wp_inverse_checked(w, par)
     return alpha, pv, dv
 
 

@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 
 from . import theta_eta as th
 from .modgroup import reduce_fundamental
-from .numerics import NumericsError, check_tau, poly_roots
+from .numerics import POLISH_STOP, NumericsError, check_tau, polish, poly_roots
 
 def agm(a: complex, b: complex) -> complex:
     """Arithmetic-geometric mean with the standard branch choice.
@@ -217,11 +217,8 @@ class WeierstrassParams(namedtuple("WeierstrassParams",
 
     @cached_property
     def branch_points(self) -> tuple:
-        """Roots e1, e2, e3 of 4 t^3 - g2 t - g3: one Newton step takes each
-        from poly_roots' stop, up to about 1e-12 away, to round-off."""
-        g2, g3 = self.g2, self.g3
-        return tuple(e - (4.0 * e ** 3 - g2 * e - g3) / (12.0 * e * e - g2)
-                     for e in poly_roots([4.0, 0.0, -g2, -g3]))
+        """Roots e1, e2, e3 of 4 t^3 - g2 t - g3."""
+        return tuple(poly_roots([4.0, 0.0, -self.g2, -self.g3]))
 
     @staticmethod
     def from_periods(period1: complex, period2: complex) -> "WeierstrassParams":
@@ -332,47 +329,35 @@ def wp_branch_points(params: WeierstrassParams) -> tuple:
     return params.branch_points
 
 
-def wp_inverse(w: complex, params: WeierstrassParams,
-               polish: bool = True) -> complex:
+def wp_inverse(w: complex, params: WeierstrassParams) -> complex:
     """A value alpha with wp(alpha) = w, normalized into the centered cell.
 
-    Computed as the Carlson form of int_w^inf ds/sqrt(4s^3-g2 s-g3); of the
+    Computed as the Carlson form of int_w^inf ds/sqrt(4s^3-g2 s-g3), then
+    polished (numerics.polish) on wp(alpha) - w at scale max(1, |w|); of the
     pair {alpha, -alpha} the representative with Re >= 0 (ties to Im >= 0) is
     returned.
-
-    The Newton polish stops at |wp(alpha) - w| < 1e-13 max(1, |w|), or at
-    the round-off floor: once a step fails to halve the residual, the
-    better of the last two alphas is kept.
     """
-    return _wp_inverse_checked(w, params, polish)[0]
+    return _wp_inverse_checked(w, params)[0]
 
 
 @lru_cache(maxsize=1)
-def _wp_inverse_checked(w: complex, params: WeierstrassParams,
-                        polish: bool):
+def _wp_inverse_checked(w: complex, params: WeierstrassParams):
     """(alpha, wp(alpha), wp'(alpha)) for wp_inverse's alpha.
 
     wp and wp' come from the final residual check.  The last call is kept,
     so a caller that needs them after wp_inverse(w, params) gets them with
     the same arguments and no second evaluation.
     """
+    scale = max(1.0, abs(w))
+
+    def fdf(alpha):
+        p, dp, _ = wp(alpha, params)
+        if abs(dp) < 1e-12 and abs(p - w) > POLISH_STOP * scale:
+            raise NumericsError("wp_inverse at a branch value: ambiguous")
+        return p - w, dp
+
     e1, e2, e3 = wp_branch_points(params)
-    alpha = carlson_rf(w - e1, w - e2, w - e3)
-    if polish:
-        last = None              # (alpha, |residual|) before the last step
-        for _ in range(6):
-            p, dp, _ = wp(alpha, params)
-            err = p - w
-            if abs(err) < 1e-13 * max(1.0, abs(w)):
-                break
-            if abs(dp) < 1e-12:
-                raise NumericsError("wp_inverse at a branch value: ambiguous")
-            if last is not None and abs(err) > 0.5 * last[1]:
-                if abs(err) > last[1]:
-                    alpha = last[0]
-                break
-            last = (alpha, abs(err))
-            alpha = alpha - err / dp
+    alpha = polish(fdf, carlson_rf(w - e1, w - e2, w - e3), scale)
     z0 = lattice_cell(alpha, params)[0]
     if z0.real < 0 or (z0.real == 0 and z0.imag < 0):
         z0 = -z0

@@ -36,8 +36,8 @@ from . import elliptic as el
 from .jets import (chi_burnside, chi_half, modular_quintic_rhs,
                    modular_quintic_rhs_jet, octahedral_j, x_quotient)
 from .modgroup import coset_reps, gamma4_reduce, mobius
-from .numerics import (TOL, NumericsError, fd_jet, max_residual, newton_solve,
-                       poly_roots)
+from .numerics import (POLISH_STOP, TOL, NumericsError, fd_jet, max_residual,
+                       newton_solve, polish, poly_roots)
 
 
 # Marker for inversion at a branch value of the curve.
@@ -129,11 +129,14 @@ def invert_chi(a: complex) -> InversionResult | BranchPointResult:
         if best in exact:
             break
         evaluate(best)
-    residual = exact[best]
+    tau0, residual, scale = points[best], exact[best], max(1.0, abs(a))
+    if residual > POLISH_STOP * scale:
+        tau0 = polish(lambda t: (chi_half(t, 1) - a).d, tau0, scale)
+        residual = abs(chi_burnside(tau0) - a)
     if residual > TOL.root_tol:
         raise NumericsError(f"inversion failed: best residual {residual:.3e}")
-    j_res = abs(el.klein_j(points[best]) - octahedral_j(a))
-    return InversionResult(points[best], tuple(points[i] for i in ranking),
+    j_res = abs(el.klein_j(tau0) - octahedral_j(a))
+    return InversionResult(tau0, tuple(points[i] for i in ranking),
                            residual, reps[best], j_res)
 
 
@@ -289,11 +292,11 @@ def quintic_solve(a: complex, seed_scale: float = 1e-3,
             tau, its = _damped_newton(target, tau)
             total_iter += its
     x1 = x_quotient(tau)
-    # deflate and finish with the simultaneous root finder
-    quartic = [1.0, x1, x1 ** 2, x1 ** 3, x1 ** 4 - 1.0]
-    rest = poly_roots(quartic)
-    roots = [x1] + sorted(rest, key=lambda z: (round(cmath.phase(z), 9),
-                                               round(abs(z), 9)))
+    # deflate, solve and sort by (arg, |z|); a real root's round-off imaginary
+    # part is read as +0 (+ 0.0 turns -0.0 into 0.0), so its arg is 0 or pi
+    rest = poly_roots([1.0, x1, x1 ** 2, x1 ** 3, x1 ** 4 - 1.0])
+    roots = [x1] + sorted(rest, key=lambda z: (round(cmath.phase(
+        complex(z.real, round(z.imag, 9) + 0.0)), 9), round(abs(z), 9)))
     taus = [tau]
     theta_res = [abs(_rhs_and_slope(tau)[0] - a)]
     for r in roots[1:]:
@@ -302,9 +305,8 @@ def quintic_solve(a: complex, seed_scale: float = 1e-3,
             taus.append("oo")
             theta_res.append(abs(r ** 5 - r + a))
             continue
-        sigma = inv.tau0 / 2.0
-        taus.append(sigma)
-        theta_res.append(abs(x_quotient(sigma) - r))
+        taus.append(inv.tau0 / 2.0)
+        theta_res.append(inv.residual)
     poly_res = tuple(abs(r ** 5 - r + a) for r in roots)
     return QuinticSolution(a, tuple(roots), tuple(taus), poly_res,
                            tuple(theta_res), _vieta_residual(a, roots),

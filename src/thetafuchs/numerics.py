@@ -31,6 +31,7 @@ class ToleranceConfig(namedtuple(
 
 
 TOL = ToleranceConfig()
+POLISH_STOP = 1e-13             # polish's stop on |f|, relative to its scale
 
 
 class NumericsError(ValueError):
@@ -146,53 +147,50 @@ POLY_X, POLY_Y = Poly({(1, 0): 1}), Poly({(0, 1): 1})
 # Polynomial roots: Aberth-Ehrlich simultaneous iteration
 
 
-def _poly_eval(coeffs, z):
-    acc = 0.0 + 0.0j
+def _horner(coeffs, z):
+    """p(z) and p'(z) by Horner's rule."""
+    p = dp = 0j
     for c in coeffs:
-        acc = acc * z + c
-    return acc
+        dp = dp * z + p
+        p = p * z + c
+    return p, dp
 
 
 def poly_roots(coeffs, root_tol: float | None = None, max_iter: int = 200):
     """All complex roots of sum(coeffs[k] * x^(n-k)), leading coefficient first.
 
     Aberth-Ehrlich simultaneous iteration started on a circle of the Cauchy
-    root bound; returns the full multiset (multiple roots come out as
-    clusters).  Each root r satisfies |p(r)| <= root_tol * scale where scale
-    is the largest coefficient magnitude.
+    root bound, then polish at scale 0; returns the full multiset (multiple
+    roots come out as clusters).  Each root r satisfies |p(r)| <= root_tol *
+    scale where scale is the largest coefficient magnitude.
     """
     if root_tol is None:
         root_tol = TOL.root_tol
     coeffs = [complex(c) for c in coeffs]
     if not coeffs or coeffs[0] == 0:
         raise NumericsError("zero leading coefficient")
-    n = len(coeffs) - 1
-    if n < 1:
+    if len(coeffs) < 2:
         raise NumericsError("degree must be >= 1")
     # strip trailing zero coefficients: x=0 roots split off exactly
-    zeros_at_origin = 0
-    while coeffs[-1] == 0 and len(coeffs) > 1:
+    roots = []
+    while coeffs[-1] == 0:
         coeffs.pop()
-        zeros_at_origin += 1
-    roots = [0.0 + 0.0j] * zeros_at_origin
+        roots.append(0j)
     n = len(coeffs) - 1
     if n == 0:
         return roots
-    lead = coeffs[0]
-    monic = [c / lead for c in coeffs]
-    dcoeffs = [monic[k] * (n - k) for k in range(n)]
+    monic = [c / coeffs[0] for c in coeffs]
     # Cauchy bound: 1 + max |a_k| over the monic tail
-    bound = 1.0 + max(abs(c) for c in monic[1:]) if n >= 1 else 1.0
+    bound = 1.0 + max(abs(c) for c in monic[1:])
     zs = [bound * cmath.exp(2j * math.pi * (k + 0.25) / n + 0.35j) for k in range(n)]
     scale = max(abs(c) for c in coeffs)
     for _ in range(max_iter):
         converged = True
         new = list(zs)
         for i, z in enumerate(zs):
-            p = _poly_eval(monic, z)
+            p, dp = _horner(monic, z)
             if abs(p) <= (root_tol * 1e-3) * max(1.0, abs(z)) ** n:
-                continue
-            dp = _poly_eval(dcoeffs, z)
+                continue        # in a cluster the steps never settle
             if dp == 0:
                 new[i] = z * (1.0 + 1e-6) + 1e-6
                 converged = False
@@ -209,10 +207,30 @@ def poly_roots(coeffs, root_tol: float | None = None, max_iter: int = 200):
             break
     else:
         raise NumericsError("poly_roots did not converge")
-    residuals = [abs(_poly_eval(coeffs, z)) for z in zs]
+    zs = [polish(lambda z: _horner(monic, z), z, 0.0) for z in zs]
+    residuals = [abs(_horner(coeffs, z)[0]) for z in zs]
     if max(residuals) > root_tol * max(1.0, scale):
         raise NumericsError(f"poly_roots residual too large: {max(residuals):.3e}")
     return roots + sorted(zs, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
+
+
+def polish(fdf, z, scale: float):
+    """z after at most 6 Newton steps on f, fdf(z) giving f(z) and f'(z): until
+    |f| <= POLISH_STOP * scale, or until a step fails to halve |f| (the round-off
+    floor), keeping the better of the last two iterates.  Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed. 2002, ch. 25."""
+    last = None                  # (z, |f|) before the last step
+    for _ in range(6):
+        f, df = fdf(z)
+        if abs(f) <= POLISH_STOP * scale:
+            break
+        if last is not None and abs(f) > 0.5 * last[1]:
+            if abs(f) > last[1]:
+                z = last[0]
+            break
+        last = (z, abs(f))
+        z = z - f / df
+    return z
 
 
 def newton_solve(f, df, z0: complex, root_tol: float | None = None,

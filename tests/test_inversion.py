@@ -5,9 +5,11 @@ import time
 from thetafuchs import elliptic as el
 from thetafuchs import inversion as iv
 from thetafuchs import jets
+from thetafuchs.cli import tolerance
 from thetafuchs.jets import chi_burnside, octahedral_j, theta_jet, x_quotient
 from thetafuchs.modgroup import coset_reps, gamma4_reduce, mobius
-from thetafuchs.numerics import TOL, NumericsError, SeededGrid, tau_grid
+from thetafuchs.numerics import (POLISH_STOP, TOL, NumericsError, SeededGrid,
+                                 polish, tau_grid)
 
 
 def test_round_trip():
@@ -82,7 +84,8 @@ def test_quintic_evaluates_each_newton_iterate_once(monkeypatch):
     taus = []
 
     def counting(tau, scale=(1, 0), order=1):
-        taus.append(tau)
+        if scale[0] in (1, 2):   # the polish of invert_chi reads scale 1/2
+            taus.append(tau)
         return theta_jet(tau, scale, order)
 
     iv._rhs_and_slope.cache_clear()
@@ -100,6 +103,42 @@ def test_quintic_evaluates_each_newton_iterate_once(monkeypatch):
                                              - a)
         assert 0.0 < sol.theta_residuals[0] <= 1e-13
         assert abs(rhs - a) < 1e-12
+
+
+def _circle(centre, radius, n, offset=0.0):
+    return [centre + radius * cmath.exp(2j * math.pi * (k + offset) / n)
+            for k in range(n)]
+
+
+def test_quintic_small_a_passes_every_tolerance():
+    # one root is r ~ a, and invert_chi(-r) lands next to the branch value 0,
+    # where the search's tau0 misses by up to 2.2e-8 until it is polished
+    for radius in (1e-3, 2e-3, 3e-3, 1e-2):
+        for a in _circle(0, radius, 16):
+            sol = iv.quintic_solve(a)
+            for name, residual in (
+                    ("max_poly_residual", max(sol.poly_residuals)),
+                    ("max_theta_residual", max(sol.theta_residuals)),
+                    ("vieta", sol.vieta_residual)):
+                assert residual <= tolerance("quintic", name), (a, name)
+
+
+def test_quintic_theta_residuals_are_the_inversions():
+    sol = iv.quintic_solve(0.3 + 0.2j)
+    for root, sigma, residual in zip(sol.roots[1:], sol.taus[1:],
+                                     sol.theta_residuals[1:]):
+        assert residual == abs(x_quotient(sigma) - root)
+
+
+def test_quintic_real_roots_keep_their_place():
+    # a real root's round-off imaginary part has either sign (-9e-22 at
+    # a = 0.01 before the polish, +1.9e-37 after it); the negative ones sort
+    # last, at arg pi, by modulus
+    for a in (0.001, 0.003, 0.01, 0.07, 0.4, -0.01, -0.4):
+        rest = iv.quintic_solve(a).roots[1:]
+        negative = [r for r in rest if abs(r.imag) < 1e-12 and r.real < 0]
+        assert len(negative) == (1 if a > 0 else 2)
+        assert list(rest[-len(negative):]) == sorted(negative, key=abs)
 
 
 def test_quintic_complex():
@@ -165,7 +204,8 @@ def _tau_prime(a):
 
 
 def _reference_invert(a):
-    """chi at all 24 candidates, ranked by (|chi - A|, index)."""
+    """chi at all 24 candidates, ranked by (|chi - A|, index); the best one
+    polished where its residual misses the polish's stop."""
     a = complex(a)
     if iv._is_branch_point(a):
         return iv.BranchPointResult(a, "oo")
@@ -182,6 +222,10 @@ def _reference_invert(a):
         ranked.append((residual, index, point, rep))
     ranked.sort(key=lambda item: item[:2])
     residual, _, point, rep = ranked[0]
+    if residual > POLISH_STOP * max(1.0, abs(a)):
+        point = polish(lambda t: (jets.chi_half(t, 1) - a).d, point,
+                       max(1.0, abs(a)))
+        residual = abs(iv.chi_burnside(point) - a)
     if residual > TOL.root_tol:
         raise NumericsError(f"inversion failed: best residual {residual:.3e}")
     return iv.InversionResult(point, tuple(item[2] for item in ranked),
@@ -253,6 +297,32 @@ def test_invert_chi_evaluates_chi_four_times_at_most(monkeypatch):
         # sqrt(2)|A|, so round-off orders them
         assert len(points) <= 4
         assert len(set(points)) == len(points)
+
+
+def test_invert_chi_polishes_near_branch_values():
+    # chi(tau0) - A from the search alone reaches 4.8e-11 on these circles
+    for centre in (0, 1, -1, 1j, -1j):
+        for a in _circle(centre, 0.01, 24, 0.5):
+            res = iv.invert_chi(a)
+            assert res.residual <= 1e-15, a
+            assert abs(chi_burnside(res.tau0) - a) == res.residual
+
+
+def test_generic_values_evaluate_no_chi_jet(monkeypatch):
+    # the search's exact residual already meets the polish's stop, so a
+    # generic inversion pays for no chi_half jet
+    calls = []
+
+    def counting(tau, order=3):
+        calls.append(tau)
+        return jets.chi_half(tau, order)
+
+    monkeypatch.setattr(iv, "chi_half", counting)
+    gen = SeededGrid(24)
+    for _ in range(300):
+        iv.invert_chi(complex(-1.6 + 3.2 * gen.uniform(),
+                              -1.6 + 3.2 * gen.uniform()))
+    assert calls == []
 
 
 def test_invert_chi_re_anchors_where_chi_raises(monkeypatch):

@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mpmath as mp
 from thetafuchs import numerics as nm
 
 
@@ -64,6 +65,53 @@ def test_poly_roots_residual_selfcheck():
     assert len(roots) == 5
     for r in roots:
         assert abs(r ** 5 - r + 0.1) < 1e-12
+
+
+def _relative_errors(coeffs):
+    """|r - ref|/|ref| of each root r against the nearest of mpmath's roots at
+    40 digits; no two roots share their nearest one."""
+    with mp.workdps(40):
+        ref = [complex(r) for r in mp.polyroots(coeffs, maxsteps=100)]
+    roots = nm.poly_roots(coeffs)
+    nearest = [min(ref, key=lambda z: abs(r - z)) for r in roots]
+    assert len(set(nearest)) == len(ref)
+    return [abs(r - z) / abs(z) for r, z in zip(roots, nearest)]
+
+
+def test_poly_roots_to_round_off_against_mpmath():
+    from thetafuchs import abelian as ab
+
+    for sign in (+1, -1):
+        par = ab.cover_params(sign)
+        assert max(_relative_errors([4.0, 0.0, -par.g2, -par.g3])) <= 1e-15
+    # Bring quintics x^5 - x + a, away from the ring |a| = 4 5^(-5/4) = 0.535
+    # where two roots collide
+    gen = nm.SeededGrid(29)
+    checked = 0
+    while checked < 200:
+        a = complex(-1.0 + 2.0 * gen.uniform(), -1.0 + 2.0 * gen.uniform())
+        if abs(abs(a) - 0.535) < 0.05:
+            continue
+        checked += 1
+        assert max(_relative_errors([1, 0, 0, 0, -1, a])) <= 1e-15, a
+
+
+def test_poly_roots_keeps_clusters():
+    # multiple roots come out as clusters around them: the simultaneous
+    # iteration stops moving a root once |p| is small, as around a multiple
+    # root its steps never settle (without that stop (x - 1/2)^2 (x + 0.7i)
+    # does not converge), and the polish then tightens each cluster
+    for coeffs, roots, spread in (([1, -2, 1], (1, 1), 1e-6),
+                                  ([1, -3, 0, 4], (-1, 2, 2), 1e-6),
+                                  ([1, -3, 3, -1], (1, 1, 1), 1e-4),
+                                  ([1, 0, 2, 0, 1], (1j, 1j, -1j, -1j), 1e-6),
+                                  ([1, -1 + 0.7j, 0.25 - 0.7j, 0.175j],
+                                   (0.5, 0.5, -0.7j), 1e-6)):
+        got = nm.poly_roots(coeffs, root_tol=1e-7)
+        assert len(got) == len(roots)
+        for root in roots:
+            near = [z for z in got if abs(z - root) <= spread]
+            assert len(near) == roots.count(root)
 
 
 def test_poly_roots_leading_zero():

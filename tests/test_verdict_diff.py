@@ -39,7 +39,7 @@ def test_point_commands_cover_every_answer():
     cases = vd.point_cases()
     assert ("exact-values",) in cases
     assert sum(c[0] == "invert" for c in cases) == 10
-    assert sum(c[0] == "quintic" for c in cases) == 6
+    assert sum(c[0] == "quintic" for c in cases) == 8
     for fn in ("theta", "k"):
         assert sum(c[:2] == ("eval", fn) for c in cases) == 6
     # a negative value is passed as --opt=value, which argparse accepts

@@ -53,17 +53,18 @@ SUITES = ("identities", "curves", "fuchsian", "modular-odes", "integrals",
 SEEDS = (1, 2, 3, 4, 5, 6, 7, 11, 20)
 SAMPLES = (20, 200)
 # Point commands, each one answer that no verify suite prints: the inversion
-# of chi (two values near branch values, where its rows fail, one on a
-# diagonal, and two next to fixed points of octahedral rotations, where
-# candidates tie), the quintic, the special-value table, and theta and the
-# Legendre moduli at fixed tau (three inside the unit circle, one of them
-# near the cusp 0).
+# of chi (two values near branch values, where tau0 needs the polish and
+# j_octahedral subtracts large values of J, one on a diagonal, and two next
+# to fixed points of octahedral rotations, where candidates tie), the quintic
+# (two values near a = 0, where one root's inversion nears the branch value
+# 0), the special-value table, and theta and the Legendre moduli at fixed tau
+# (three inside the unit circle, one of them near the cusp 0).
 INVERT_VALUES = ("0.5,0.3", "-0.7,0.2", "0.3,-0.9", "1.2,0.4", "-0.4,-0.45",
                  "0.9,0.9", "0.999999999,0", "0.02,0.01",
                  "0.41421356237309503,1e-12",
                  "0.3660254037844391,0.3660254037844381")
 QUINTIC_AS = ("0.01,0", "0.3,0.2", "-0.2,0.35", "0.1,-0.1", "0.4,0",
-              "0,0.25")
+              "0,0.25", "0.001,0", "0.003,0")
 EVAL_TAUS = ("0.3,1.1", "-0.45,0.6", "1.7,0.2", "0.5,2", "0.1,0.05",
              "0.0021836,0.0152496")
 # Start-up cases: the benchmark's set-up, then four short commands.
