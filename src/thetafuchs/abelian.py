@@ -345,12 +345,11 @@ def burnside_surface_metric(y: complex, sheet: int = 0) -> dict:
     The closed display 4 pi^2 / (Re^2{K(x*^2) K'(x^2)} |5y^3/x + 4y|^2) must
     agree with |F_y/F_x|^2 times the x-plane density for F = y^2 - x^5 + x.
     """
-    from .numerics import poly_roots
+    from .numerics import poly_roots, root_order
 
     y = complex(y)
-    roots = poly_roots([1.0, 0.0, 0.0, 0.0, -1.0, -y * y])
-    roots = sorted(roots, key=lambda z: (round(cmath.phase(z), 9),
-                                         round(abs(z), 9)))
+    roots = sorted(poly_roots([1.0, 0.0, 0.0, 0.0, -1.0, -y * y]),
+                   key=root_order)
     x = roots[sheet % 5]
     u = el.ellip_K(x * x)
     v = el.ellip_Kprime(x * x)

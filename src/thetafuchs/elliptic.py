@@ -242,29 +242,29 @@ class WeierstrassParams(namedtuple("WeierstrassParams",
         disc = g2 ** 3 - 27.0 * g3 ** 2
         if disc == 0:
             raise NumericsError("vanishing discriminant g2^3 - 27 g3^2")
-        jj = g2 ** 3 / disc
-        # 4 (l^2 - l + 1)^3 = 27 J l^2 (l - 1)^2
-        coeffs = [4.0, -12.0, 24.0 - 27.0 * jj, -28.0 + 54.0 * jj,
-                  24.0 - 27.0 * jj, -12.0, 4.0]
-        lam = None
-        for r in poly_roots(coeffs, root_tol=1e-7):
-            if min(abs(r), abs(r - 1.0)) > 1e-6:
-                lam = r
-                break
-        if lam is None:
-            raise NumericsError("could not solve J for lambda")
-        tau = 1j * ellip_K(cmath.sqrt(1.0 - lam)) / ellip_K(cmath.sqrt(lam))
-        if tau.imag <= 0:
-            tau = -tau.conjugate()
-        tau, _ = reduce_fundamental(tau)
+        if not (g2 and g3):  # J = 0 or 1: the sextic's roots repeat
+            tau = complex(-0.5, math.sqrt(3.0) / 2.0) if g3 else 1j  # rho or i
+        else:
+            jj = g2 ** 3 / disc
+            # 4 (l^2 - l + 1)^3 = 27 J l^2 (l - 1)^2
+            coeffs = [4.0, -12.0, 24.0 - 27.0 * jj, -28.0 + 54.0 * jj,
+                      24.0 - 27.0 * jj, -12.0, 4.0]
+            lam = next((r for r in poly_roots(coeffs, root_tol=1e-7)
+                        if min(abs(r), abs(r - 1.0)) > 1e-6), None)
+            if lam is None:
+                raise NumericsError("could not solve J for lambda")
+            tau = 1j * ellip_K(cmath.sqrt(1 - lam)) / ellip_K(cmath.sqrt(lam))
+            if tau.imag <= 0:
+                tau = -tau.conjugate()
+            tau, _ = reduce_fundamental(tau)
         g2t, g3t, _ = eisenstein(tau)
         # w^4 = g2(tau)/g2, w^6 = g3(tau)/g3, hence w^2 is their ratio
-        if abs(g3) > 1e-12 * abs(g2) ** 1.5 and abs(g3t) > 1e-14:
-            w = cmath.sqrt((g3t * g2) / (g3 * g2t))
-        elif abs(g2) > 0:
-            w = (g2t / g2) ** 0.25
-        else:
+        if not g2:
             w = (g3t / g3) ** (1.0 / 6.0)
+        elif abs(g3) > 1e-12 * abs(g2) ** 1.5 and abs(g3t) > 1e-14:
+            w = cmath.sqrt((g3t * g2) / (g3 * g2t))
+        else:
+            w = (g2t / g2) ** 0.25
         params = WeierstrassParams(g2, g3, 2.0 * w, 2.0 * w * tau)
         check = WeierstrassParams.from_periods(params.period1, params.period2)
         scale = max(abs(g2), abs(g3), 1e-12)

@@ -37,7 +37,7 @@ from .jets import (chi_burnside, chi_half, modular_quintic_rhs,
                    modular_quintic_rhs_jet, octahedral_j, x_quotient)
 from .modgroup import coset_reps, gamma4_reduce, mobius
 from .numerics import (POLISH_STOP, TOL, NumericsError, fd_jet, max_residual,
-                       newton_solve, polish, poly_roots)
+                       newton_solve, polish, poly_roots, root_order)
 
 
 # Marker for inversion at a branch value of the curve.
@@ -292,11 +292,8 @@ def quintic_solve(a: complex, seed_scale: float = 1e-3,
             tau, its = _damped_newton(target, tau)
             total_iter += its
     x1 = x_quotient(tau)
-    # deflate, solve and sort by (arg, |z|); a real root's round-off imaginary
-    # part is read as +0 (+ 0.0 turns -0.0 into 0.0), so its arg is 0 or pi
-    rest = poly_roots([1.0, x1, x1 ** 2, x1 ** 3, x1 ** 4 - 1.0])
-    roots = [x1] + sorted(rest, key=lambda z: (round(cmath.phase(
-        complex(z.real, round(z.imag, 9) + 0.0)), 9), round(abs(z), 9)))
+    rest = poly_roots([1.0, x1, x1 ** 2, x1 ** 3, x1 ** 4 - 1.0])  # deflated
+    roots = [x1] + sorted(rest, key=root_order)
     taus = [tau]
     theta_res = [abs(_rhs_and_slope(tau)[0] - a)]
     for r in roots[1:]:

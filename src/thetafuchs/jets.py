@@ -227,13 +227,13 @@ def _with_one(tail) -> Jet:
 
 
 @lru_cache(maxsize=JET_CACHE_SIZE)
-def _quad_jets(sigma, order: int):
-    """Jets of (theta2, theta3, theta4) at sigma to the given order.
+def _quad_jets(tau, order: int, scale=1):
+    """Jets in sigma = scale*tau of (theta2, theta3, theta4), to the order.
 
-    sigma is complex or a CDD, and the jets are in the same arithmetic.
+    tau is complex or a CDD, and the jets are in the same arithmetic.
     eta_w, the fourth constant, is built on first use by _eta_jet.
     """
-    d = th.theta_series(check_tau(sigma), order)
+    d = th.theta_series(check_tau(tau), order, scale)
     return Jet(d[0::3]), _with_one(d[1::3]), _with_one(d[2::3])
 
 
@@ -305,7 +305,7 @@ def theta_jet(tau, scale=(1, 0), order: int = 1) -> ThetaJet:
     if cf <= 0:
         raise NumericsError(f"scale {cf} takes tau out of the half-plane")
     sigma = cf * tau + df
-    t2, t3, t4 = _quad_jets(sigma, order)
+    t2, t3, t4 = _quad_jets(sigma, order) if df else _quad_jets(tau, order, cf)
     return ThetaJet(tau, (cf, df), order, _rescale(t2, cf), _rescale(t3, cf),
                     _rescale(t4, cf), sigma)
 
@@ -318,24 +318,25 @@ def theta_jet(tau, scale=(1, 0), order: int = 1) -> ThetaJet:
 
 
 class ThetaValues:
-    """theta2..theta4 and eta at sigma as numbers, each read when used; the
-    thetas share one (cached) theta_series pass."""
+    """theta2..theta4 and eta at sigma = scale*tau, read when used from one
+    cached theta_series pass: at (tau, scale) for a CDD, at sigma for complex."""
 
-    __slots__ = ("sigma",)
+    __slots__ = ("sigma", "key")
 
-    def __init__(self, sigma):
-        self.sigma = sigma
+    def __init__(self, tau, scale):
+        self.sigma = tau if scale == 1 else scale * tau
+        self.key = (tau, 0, scale) if isinstance(tau, CDD) else (self.sigma,)
 
-    t2 = property(lambda self: th.theta_series(self.sigma)[0])
-    t3 = property(lambda self: 1.0 + th.theta_series(self.sigma)[1])
-    t4 = property(lambda self: 1.0 + th.theta_series(self.sigma)[2])
+    t2 = property(lambda self: th.theta_series(*self.key)[0])
+    t3 = property(lambda self: 1.0 + th.theta_series(*self.key)[1])
+    t4 = property(lambda self: 1.0 + th.theta_series(*self.key)[2])
     eta = property(lambda self: th.eta(self.sigma))
 
 
 def _routes(expr):
     """(value(tau), jet(tau, order=3)); the series under each validates tau."""
     def value(tau):
-        return expr(lambda c: ThetaValues(tau if c == 1 else c * tau))
+        return expr(lambda c: ThetaValues(tau, c))
 
     def jet(tau, order=3) -> Jet:
         return expr(lambda c: theta_jet(tau, (c, 0), order))

@@ -214,6 +214,13 @@ def poly_roots(coeffs, root_tol: float | None = None, max_iter: int = 200):
     return roots + sorted(zs, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
 
 
+def root_order(z: complex) -> tuple:
+    """The sort key (arg, |z|) of roots to 9 digits, a round-off imaginary part
+    read as +0 (+ 0.0 turns -0.0 into 0.0): a real root's arg is 0 or pi."""
+    return (round(cmath.phase(complex(z.real, round(z.imag, 9) + 0.0)), 9),
+            round(abs(z), 9))
+
+
 def polish(fdf, z, scale: float):
     """z after at most 6 Newton steps on f, fdf(z) giving f(z) and f'(z): until
     |f| <= POLISH_STOP * scale, or until a step fails to halve |f| (the round-off

@@ -42,18 +42,19 @@ _MAX_LINEAR_TERMS = 512   # sums with exponents linear in n
 # The caches kept per tau hold the keys of one tau: every caller
 # (cli.cmd_verify, the Fuchsian and integral checks, the quintic solver)
 # finishes its work at a tau before it moves on, and no later tau reuses an
-# earlier one's keys.  They are theta_series here, keyed (tau, order);
-# jets.theta_jet, keyed (tau, scale, order); jets._quad_jets and
-# jets._eta_jet, keyed (sigma, order); and abelian._cover_alpha, keyed
-# (tau, sign).  A Fuchsian tau needs at most 7 _quad_jets keys and a direct
-# quintic 12; a quintic that continues along a path needs more, but uses each
-# key within a few steps, and an inversion of chi sums the series at only a
-# few of its 24 candidates (4 for a generic A: the anchor, the best and a pair
-# that ties).  With 64 entries the hits and misses equal those of a 4096-entry
-# cache on every verify suite and benchmark workload, and memory stays flat
-# however many tau go by.  The order stays in every key: passes of
-# different orders stop at different terms, so even their values may differ
-# in the last bit.
+# earlier one's keys.  They are theta_series here, keyed (tau, order, scale),
+# and _eighth_nome, keyed by a CDD tau, whose exp serves every scale;
+# jets.theta_jet, keyed (tau, scale, order); jets._quad_jets, keyed (tau,
+# order, scale); jets._eta_jet, keyed (sigma, order); and
+# abelian._cover_alpha, keyed (tau, sign).  A Fuchsian tau needs at most 7
+# _quad_jets keys and a direct quintic 12; a quintic that continues along a
+# path needs more, but uses each key within a few steps, and an inversion of
+# chi sums the series at only a few of its 24 candidates (4 for a generic A:
+# the anchor, the best and a pair that ties).  With 64 entries the hits and
+# misses equal those of a 4096-entry cache on every verify suite and
+# benchmark workload, and memory stays flat however many tau go by.  The
+# order stays in every key: passes of different orders stop at different
+# terms, so even their values may differ in the last bit.
 JET_CACHE_SIZE = 64
 
 
@@ -89,16 +90,25 @@ def _sum_capped(terms, what: str, eps: float, cap: int = _MAX_TERMS):
 
 
 @lru_cache(maxsize=JET_CACHE_SIZE)
-def theta_series(tau, order: int = 0):
-    """theta2, theta3 - 1 and theta4 - 1 with their tau-derivatives to order.
+def _eighth_nome(tau):
+    """r = exp(i pi tau/8) for a CDD tau, the one exp of its theta passes."""
+    return _DOUBLE_DOUBLE.exp(0.125j * _DOUBLE_DOUBLE.pi * tau)
+
+
+@lru_cache(maxsize=JET_CACHE_SIZE)
+def theta_series(tau, order: int = 0, scale=1):
+    """theta2, theta3 - 1, theta4 - 1 at sigma = scale*tau, d/dsigma to order.
 
     Returns a flat tuple: the m-th derivatives of the three sums are at
     3m, 3m + 1 and 3m + 2, so order 0 gives (theta2, theta3 - 1, theta4 - 1).
-    One pass over the powers q^{k^2} builds them by multiplication,
+    In doubles q = exp(i pi sigma) and q^{1/4} are two exps.  In double-double
+    both are powers of r = _eighth_nome(tau), one exp per tau for the scales
+    c with 2c an integer: q^{1/4} = r^{2c} and q = (q^{1/4})^4, by squaring.
+    One pass over the powers q^{k^2} builds the sums by multiplication,
     q^{(k+1)^2} = q^{k^2} q^{2k+1}.  Term by term,
 
-        d^m/dtau^m q^{k^2}       = (i pi k^2)^m q^{k^2},
-        d^m/dtau^m q^{(k+1/2)^2} = (i pi (2k+1)^2/4)^m q^{1/4} q^{k^2+k},
+        d^m/dsigma^m q^{k^2}       = (i pi k^2)^m q^{k^2},
+        d^m/dsigma^m q^{(k+1/2)^2} = (i pi (2k+1)^2/4)^m q^{1/4} q^{k^2+k},
 
     so the derivative sums carry the integer weights k^{2m} and (2k+1)^{2m},
     and the factors (i pi)^m and 4^-m are applied once at the end; those of
@@ -110,7 +120,12 @@ def theta_series(tau, order: int = 0):
     """
     tau = check_tau(tau)
     exp, pi, eps, _ = arithmetic(tau)
-    q = exp(1j * pi * tau)
+    if isinstance(tau, CDD) and not 2 * scale % 1:
+        quarter = _eighth_nome(tau) ** int(2 * scale)
+        q = quarter ** 4
+    else:
+        sigma = scale * tau
+        q, quarter = exp(1j * pi * sigma), exp(0.25j * pi * sigma)
     q2 = q * q
     power, step, qk = q, q2 * q, q    # q^{k^2}, q^{2k+1}, q^k at k = 1
     s2 = 1.0 + 0.0j                   # sum_{k>=0} q^{k^2+k}
@@ -139,7 +154,7 @@ def theta_series(tau, order: int = 0):
     else:
         raise SeriesTruncationError(
             f"theta: series needs more than {_MAX_TERMS} terms")
-    front = 2.0 * exp(0.25j * pi * tau)   # 2 q^{1/4}
+    front = 2.0 * quarter
     out = (front * s2, 2.0 * s3, 2.0 * s4)
     w = 1.0                               # (i pi)^m
     for m in range(order):

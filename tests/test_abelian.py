@@ -112,6 +112,28 @@ def test_surface_metric_and_sheets():
         assert d["density"] > 0
 
 
+def test_real_sheets_do_not_follow_the_sign_of_round_off(monkeypatch):
+    # For real y the real roots x may come back with an imaginary part of
+    # either sign below the rounding; the sheet numbering must not see it.
+    from thetafuchs import numerics
+
+    real = numerics.poly_roots
+
+    def nudged(sign):
+        def roots(coeffs, *args, **kwargs):
+            return [complex(z.real, sign * 1e-18) if abs(z.imag) < 1e-12
+                    else z for z in real(coeffs, *args, **kwargs)]
+        return roots
+
+    for y in (0.5, 0.05):
+        sheets = []
+        for sign in (1.0, -1.0):
+            monkeypatch.setattr(numerics, "poly_roots", nudged(sign))
+            sheets.append([round(x.real, 12) for x in
+                           ab.burnside_surface_metric(y)["all_sheets"]])
+        assert sheets[0] == sheets[1], y
+
+
 def test_torus_metric_x2_recovery_and_defect():
     out = ab.torus_metric_check(1.3j)
     # the sheet-recovery formula inside the display is exact

@@ -238,6 +238,23 @@ def test_period_invariant_round_trip():
     assert abs(check.g3 - par.g3) < 1e-10 * max(1, abs(par.g3))
 
 
+@pytest.mark.parametrize("g2, g3", [(0, 1), (0, 2 - 1j), (1, 0)])
+def test_invariants_at_j_zero_and_one_round_trip(g2, g3):
+    # J = 0 and J = 1 take tau = rho and tau = i exactly
+    par = el.WeierstrassParams.from_invariants(g2, g3)
+    check = el.WeierstrassParams.from_periods(par.period1, par.period2)
+    assert abs(check.g2 - g2) < 1e-12 and abs(check.g3 - g3) < 1e-12
+
+
+def test_cover_lattices_keep_their_bits():
+    p, q = float.fromhex("0x1.7f6d6515a8444p+1"), float.fromhex(
+        "0x1.0f1fc270944c1p+2")
+    for g3, periods in ((-COVER_G3, (-p * 1j, complex(q, 0))),
+                        (COVER_G3, (complex(p, 0), q * 1j))):
+        par = el.WeierstrassParams.from_invariants(5 / 3, g3)
+        assert (par.period1, par.period2) == periods
+
+
 def test_agm_series_paths_agree():
     for k in (0.1, 0.4 + 0.3j, 0.85, 0.6 - 0.5j):
         if abs(k) <= 0.9:

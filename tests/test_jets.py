@@ -340,14 +340,47 @@ def test_signed_zero_keys_share_cache_entries_safely():
         assert answers(minus)() == fresh    # from the entries of +0.0 + i
 
 
+def test_complex_series_at_a_scale_is_the_series_at_the_product():
+    # a complex (tau, c) is summed at sigma = c*tau with today's two exps
+    series = th.theta_series.__wrapped__
+    for tau in (0.3 + 1.1j, complex(-0.0, 1.0), -0.45 + 0.6j, 0.1 + 0.05j):
+        for c in (0.5, 1, 2, 4, Fraction(1, 2)):
+            for order in range(7):
+                assert (_hex(Jet(series(tau, order, c)))
+                        == _hex(Jet(series(c * tau, order)))), (tau, c, order)
+
+
+def test_one_double_double_exp_per_refined_tau(monkeypatch):
+    # The theta passes of a refinement at every scale share r = exp(i pi
+    # tau/8), and these rows read no eta, E2 or Jet.exp.
+    from thetafuchs import fuchsian as fu
+
+    calls = []
+    dd = th._DOUBLE_DOUBLE
+
+    def counted(z):
+        calls.append(z)
+        return dd.exp(z)
+
+    monkeypatch.setattr(th, "_DOUBLE_DOUBLE", dd._replace(exp=counted))
+    for qid in ("burnside", "fermat8", "lambda_mixed"):
+        for cache in (th.theta_series, th._eighth_nome, jets.theta_jet,
+                      jets._quad_jets, jets._eta_jet):
+            cache.cache_clear()
+        del calls[:]
+        rows = fu.residual_dd(fu.catalogue_check(fu.q_catalogue(qid)),
+                              0.3 + 1.1j)
+        assert rows[qid] < 1e-25 and len(calls) == 1, (qid, calls)
+
+
 def test_caches_kept_per_tau_stay_bounded():
     # Each cache holds one tau's keys, so peak memory stays flat however
     # many tau go by.
     from thetafuchs import abelian as ab
     from thetafuchs import cli
 
-    caches = (th.theta_series, jets.theta_jet, jets._quad_jets,
-              jets._eta_jet, ab._cover_alpha)
+    caches = (th.theta_series, th._eighth_nome, jets.theta_jet,
+              jets._quad_jets, jets._eta_jet, ab._cover_alpha)
     assert jets.JET_CACHE_SIZE is th.JET_CACHE_SIZE
     for cache in caches:
         assert cache.cache_info().maxsize == jets.JET_CACHE_SIZE == 64

@@ -110,3 +110,37 @@ def test_theta_inversion_formula():
         factor = cmath.sqrt(-1j * tau)
         assert abs(th.theta4(-1 / tau) - factor * th.theta2(tau)) < 1e-12
         assert abs(th.theta3(-1 / tau) - factor * th.theta3(tau)) < 1e-12
+
+
+def _theta_sums_mp(sigma):
+    """theta2, theta3 - 1 and theta4 - 1 at sigma, summed term by term."""
+    s2 = s3 = s4 = mp.mpc(0)
+    k = 0
+    while True:
+        s2 += mp.exp(1j * mp.pi * sigma * (k + mp.mpf(0.5)) ** 2)
+        k += 1
+        term = mp.exp(1j * mp.pi * sigma * k * k)
+        s3 += term
+        s4 += -term if k % 2 else term
+        if abs(term) < mp.mpf(10) ** -60:
+            return 2 * s2, 2 * s3, 2 * s4
+
+
+def test_double_double_series_at_every_scale_against_mpmath():
+    # The double-double passes take q^{1/4} = r^{2c} and q = r^{8c} from the
+    # one exp r = exp(i pi tau/8); they must keep ~28 digits of the sums.
+    # c = 3/4, no multiple of 1/2, takes the two exps at sigma instead.
+    from thetafuchs.ddnum import CDD
+
+    taus = [0.3 + 0.05j, -0.7 + 5j] + [
+        complex(t.real, 0.05 * 100 ** t.imag)
+        for t in tau_grid(10, seed=43, im_range=(0.0, 1.0))]
+    with mp.workdps(45):
+        for tau in taus:
+            for c in (0.5, 0.75, 1, 2, 4):
+                got = th.theta_series(CDD.from_complex(tau), 0, c)
+                ref = _theta_sums_mp(c * mp.mpc(tau.real, tau.imag))
+                size = max(abs(ref[0]), abs(1 + ref[1]), abs(1 + ref[2]))
+                for g, r in zip(got, ref):
+                    value = mp.mpc(mp.mpf(g.rh) + g.rl, mp.mpf(g.ih) + g.il)
+                    assert abs(value - r) < 1e-28 * size, (tau, c)

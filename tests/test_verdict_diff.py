@@ -92,6 +92,30 @@ def test_items_name_the_first_differing_item(monkeypatch, capsys):
     assert "4 benchmark items" in out and "2 differ, 2 identical" in out
 
 
+def test_items_count_the_moves_of_each_row(monkeypatch, capsys):
+    # a move in double-double digits only reads from the summary line
+    lines = ["fuchsian-sweep 0 fuchsian 1j {'a': 1e-21, 'b': 0.5}",
+             "fuchsian-sweep 1 fuchsian 2j {'a': 3e-21, 'b': 0.5}",
+             "point-queries 0 quintic 0.1j {'roots': [1j, (2+0j)]}",
+             "point-queries 0 eta 1j [(1+0j)]",
+             "point-queries 1 k 3j NumericsError('k')"]
+    moved = [lines[0].replace("1e-21", "4e-22"),
+             lines[1].replace("3e-21", "2e-21"),
+             lines[2].replace("(2+0j)", "(2+1e-30j)"), lines[3],
+             "point-queries 1 k 3j [0.5, 0.25]"]
+    monkeypatch.setattr(vd, "run_items", lambda tree, rounds: (
+        0, lines if tree == vd.ROOT else moved))
+    assert vd.compare_items(Path("base"), rounds=2) == 4
+    out = capsys.readouterr().out.splitlines()
+    assert [line.strip() for line in out if "moved" in line] == [
+        "fuchsian-sweep a: 2 moved, largest |old| 2e-21, |new| 3e-21",
+        "point-queries roots[1]: 1 moved, largest |old| 2, |new| 2",
+        "point-queries k: 1 moved, largest |old| n/a, |new| n/a",
+        "point-queries k[0]: 1 moved, largest |old| 0.5, |new| n/a",
+        "point-queries k[1]: 1 moved, largest |old| 0.25, |new| n/a"]
+    assert "4 differ, 1 identical" in out[-1]
+
+
 def test_startup_pairs_time_both_trees(monkeypatch, tmp_path, capsys):
     # one pair of the set-up and of eval theta, this tree against its copy
     monkeypatch.setattr(vd, "STARTUP_CASES", vd.STARTUP_CASES[:2])

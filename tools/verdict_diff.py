@@ -23,7 +23,9 @@ at seed ITEMS_SEED, one fresh interpreter per tree.  The CLI runs a suite
 over all of its tau at once, the benchmark one tau at a time, so this mode
 checks the path that the benchmark times, the double-double refinement of
 single tau included.  The repr of every answer (or of its NumericsError) is
-compared, and the first differing item of each workload is printed.
+compared, and the first differing item of each workload is printed, then one
+line per (workload, row) that moved: how many answers moved and the largest
+|old| and |new| among them.
 
 With --startup, it times cold starts instead, in PAIRS alternating pairs
 (default 10) of REV's copy and a copy of this tree's src/ and perfbench/:
@@ -37,6 +39,7 @@ this tree was faster.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import shutil
@@ -128,9 +131,54 @@ def run_items(tree: Path, rounds: int):
     return proc.returncode, proc.stdout.splitlines()
 
 
+def answer_rows(line: str) -> dict:
+    """The answers of one item line by row: a dict answer's keys, the
+    indices of a list (key[i] for a list under a key), or the kind itself
+    for any other answer, or one that is no Python literal (an error, NaN)."""
+    _, _, kind, _, text = line.split(" ", 4)
+    try:
+        answer = ast.literal_eval(text)
+    except (ValueError, SyntaxError):
+        return {kind: text}
+    if not isinstance(answer, dict):
+        answer = {kind: answer}
+    rows = {}
+    for key, value in answer.items():
+        if isinstance(value, list):
+            rows.update((f"{key}[{i}]", v) for i, v in enumerate(value))
+        else:
+            rows[key] = value
+    return rows
+
+
+def _largest(values) -> str:
+    """The largest modulus among the numbers in values, n/a if none is one."""
+    sizes = [abs(v) for v in values if isinstance(v, (int, float, complex))]
+    return f"{max(sizes):.3g}" if sizes else "n/a"
+
+
+def moved_rows(pairs) -> list[str]:
+    """One line per (workload, row) whose answer moved in any of the
+    (before, after) item lines: how many moved, and the largest |old| and
+    |new| among them (n/a where an answer is not a number)."""
+    moved = {}
+    for before, after in pairs:
+        workload = before.split(" ", 1)[0]
+        old, new = answer_rows(before), answer_rows(after)
+        for row in sorted(old.keys() | new.keys()):
+            if old.get(row) != new.get(row):
+                moved.setdefault((workload, row), []).append(
+                    (old.get(row), new.get(row)))
+    return [f"{workload} {row}: {len(values)} moved, largest |old| "
+            f"{_largest(o for o, _ in values)}, |new| "
+            f"{_largest(n for _, n in values)}"
+            for (workload, row), values in moved.items()]
+
+
 def compare_items(base: Path, rounds: int) -> int:
     """Run the benchmark items in base and in this tree; print the first
-    differing item of each workload; count the differing items."""
+    differing item of each workload, then each moved row; count the
+    differing items."""
     with ThreadPoolExecutor(max_workers=2) as pool:
         runs = [pool.submit(run_items, tree, rounds) for tree in (base, ROOT)]
         (old_status, old), (new_status, new) = (r.result() for r in runs)
@@ -138,20 +186,21 @@ def compare_items(base: Path, rounds: int) -> int:
         print(f"item runs: exit {old_status} -> {new_status}, "
               f"{len(old)} -> {len(new)} items")
         return 1
-    differing, named = 0, set()
-    for before, after in zip(old, new):
-        if before == after:
-            continue
-        differing += 1
+    pairs = [(before, after) for before, after in zip(old, new)
+             if before != after]
+    named = set()
+    for before, after in pairs:
         workload = before.split(" ", 1)[0]
         if workload not in named:
             named.add(workload)
             print(f"DIFF {workload}: first differing item\n  {before}\n"
                   f"  -> {after}")
+    for line in moved_rows(pairs):
+        print(f"  {line}")
     print(f"{len(old)} benchmark items ({rounds} rounds of each workload, "
-          f"seed {ITEMS_SEED}) per tree: {differing} differ, "
-          f"{len(old) - differing} identical")
-    return differing
+          f"seed {ITEMS_SEED}) per tree: {len(pairs)} differ, "
+          f"{len(old) - len(pairs)} identical")
+    return len(pairs)
 
 
 def startup_time(tree: Path, argv: tuple) -> float:
